@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/behavior"
+	"repro/internal/fault"
 	"repro/internal/linux"
 	"repro/internal/paging"
 	"repro/internal/scan"
@@ -162,7 +164,7 @@ func (f *AppFingerprinter) Classify(d *behavior.Driver) (AppProfile, error) {
 // Windows compose like the behavior spy's: consecutive calls continue the
 // victim's timeline.
 func (f *AppFingerprinter) ClassifyFrom(d *behavior.Driver, t0 float64) (AppProfile, error) {
-	if err := f.P.M.Fire("probe"); err != nil {
+	if err := f.P.M.Fire(fault.Probe); err != nil {
 		return AppProfile{}, err
 	}
 	watch, err := f.init()
@@ -228,8 +230,13 @@ func (f *AppFingerprinter) match(watch []watchEntry, masks []uint64) (AppProfile
 			return prof, nil
 		}
 	}
-	return AppProfile{}, fmt.Errorf("core: no profile matches active set %v", active)
+	return AppProfile{}, fmt.Errorf("%w active set %v", ErrNoProfileMatch, active)
 }
+
+// ErrNoProfileMatch reports an observed active set that matches no profile
+// in the population: an attack outcome (the app was not recognized), as
+// opposed to a failure to observe.
+var ErrNoProfileMatch = errors.New("core: no profile matches")
 
 // TimelinesFor builds always-on timelines for an app profile over a
 // window, for driving the victim in tests and demos.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/behavior"
+	"repro/internal/fault"
 	"repro/internal/linux"
 	"repro/internal/paging"
 	"repro/internal/scan"
@@ -216,7 +217,7 @@ func (s *BehaviorSpy) Run(d *behavior.Driver, duration float64) ([]SpyTrace, err
 // victim's timeline, which is what lets a service session carry spy state
 // across jobs (checkpoint after each window, restore before the next).
 func (s *BehaviorSpy) RunWindow(d *behavior.Driver, t0, t1 float64) ([]SpyTrace, error) {
-	if err := s.P.M.Fire("probe"); err != nil {
+	if err := s.P.M.Fire(fault.Probe); err != nil {
 		return nil, err
 	}
 	if err := s.init(); err != nil {

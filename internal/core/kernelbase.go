@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/fault"
 	"repro/internal/linux"
 	"repro/internal/paging"
 	"repro/internal/uarch"
@@ -50,7 +51,7 @@ func (r KernelBaseResult) TotalSeconds(p *uarch.Preset) float64 {
 // 4 KiB-structured pages, whose offsets from the base are build constants.
 func KernelBase(p *Prober) (KernelBaseResult, error) {
 	var res KernelBaseResult
-	if err := p.M.Fire("probe"); err != nil {
+	if err := p.M.Fire(fault.Probe); err != nil {
 		return res, err
 	}
 	start := p.M.RDTSC()

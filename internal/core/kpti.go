@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/fault"
 	"repro/internal/linux"
 	"repro/internal/paging"
 )
@@ -28,7 +29,7 @@ type KPTIResult struct {
 // (0xc00000 on Ubuntu 20.04, 0xe00000 on the EC2 AWS kernel).
 func KPTIBreak(p *Prober, trampolineOffset uint64) (KPTIResult, error) {
 	var res KPTIResult
-	if err := p.M.Fire("probe"); err != nil {
+	if err := p.M.Fire(fault.Probe); err != nil {
 		return res, err
 	}
 	start := p.M.RDTSC()

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/avx"
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/paging"
 	"repro/internal/stats"
@@ -153,7 +154,7 @@ func NewProber(m *machine.Machine, opt Options) (*Prober, error) {
 // masked-load latency on a kernel-mapped page. Sampling our *own* pages
 // therefore yields the fast-class mean without touching kernel memory.
 func (p *Prober) Calibrate() error {
-	if err := p.M.Fire("calibrate"); err != nil {
+	if err := p.M.Fire(fault.Calibrate); err != nil {
 		return fmt.Errorf("core: calibration: %w", err)
 	}
 	n := p.Opt.CalibrationPages

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/fault"
 	"repro/internal/paging"
 	"repro/internal/winkernel"
 )
@@ -25,7 +26,7 @@ type WindowsResult struct {
 // run-length signature disambiguates.
 func WindowsKernel(p *Prober, runLen int) (WindowsResult, error) {
 	var res WindowsResult
-	if err := p.M.Fire("probe"); err != nil {
+	if err := p.M.Fire(fault.Probe); err != nil {
 		return res, err
 	}
 	start := p.M.RDTSC()

@@ -139,7 +139,7 @@ func (c Config) Enabled() bool {
 }
 
 // Injector is a seeded fault source shared by every consumer (executor,
-// session builder, machine hook) in one scheduler. It is immutable after
+// session builder, machine) in one scheduler. It is immutable after
 // New apart from the fired counters, so concurrent Plan/Fire use needs no
 // locking.
 type Injector struct {
@@ -203,6 +203,10 @@ func (in *Injector) TotalFired() uint64 {
 // Plan is one consumer's deterministic view of the fault schedule: a lazy
 // per-site rng.Source derived from (site seed, key, attempt). A plan is
 // used by a single goroutine at a time (the executor running the attempt).
+// In the scan service one plan serves one job attempt: the scheduler
+// installs it as the session machine's Faults, where machine.Fire draws
+// the boot, calibrate, restore and probe sites, and draws the stall and
+// panic sites itself.
 type Plan struct {
 	in      *Injector
 	key     uint64

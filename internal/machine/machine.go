@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/avx"
+	"repro/internal/fault"
 	"repro/internal/paging"
 	"repro/internal/perf"
 	"repro/internal/phys"
@@ -49,15 +50,14 @@ type Machine struct {
 	// InEnclave applies the SGX per-probe overhead when true.
 	InEnclave bool
 
-	// FaultHook, when non-nil, is the machine's fault-injection tap: it is
-	// consulted at designated failure sites (Fire) with a stable operation
-	// name — "boot", "calibrate", "restore", "probe" — and a non-nil return
-	// aborts that operation with the returned error. The service layer
-	// installs a per-job-attempt hook backed by a seeded fault.Plan and
-	// clears it afterwards; Clone and Rebind never propagate the hook, so
-	// pooled worker replicas (which run on engine goroutines) stay
-	// hook-free and the sharded hot path pays nothing but this nil field.
-	FaultHook func(op string) error
+	// Faults is the fault plan of the job attempt running on the machine
+	// (nil = no injection). Fire draws from it at the designated failure
+	// sites — boot, calibrate, restore, probe. The service layer installs
+	// the attempt's plan and clears it afterwards; Clone and Rebind never
+	// propagate it, so pooled worker replicas (which run on engine
+	// goroutines) draw nothing and the sharded hot path pays nothing but
+	// this nil field.
+	Faults *fault.Plan
 
 	tsc  uint64
 	seed uint64
@@ -325,7 +325,7 @@ func (m *Machine) Snapshot() Snapshot {
 // one class of state a snapshot does not carry; probe-only attacks never
 // trip it.
 func (m *Machine) Restore(s Snapshot) error {
-	if err := m.Fire("restore"); err != nil {
+	if err := m.Fire(fault.Restore); err != nil {
 		return err
 	}
 	if kv := m.KernelAS.Version(); kv != s.kernelVer {
@@ -360,15 +360,16 @@ func (m *Machine) Adopt(s Snapshot) {
 	}
 }
 
-// Fire consults the fault-injection hook for one named operation and
-// returns the injected error, if any. With no hook installed — every
-// machine outside a fault-injected service run, and every cloned or
-// rebound worker replica — it is a nil test and nothing more.
-func (m *Machine) Fire(op string) error {
-	if m.FaultHook == nil {
-		return nil
+// Fire draws the next fault decision for site s from the machine's plan
+// and returns the injected fault as an error, or nil. With no plan
+// installed — every machine outside a fault-injected service run, and
+// every cloned or rebound worker replica — it is a nil test and nothing
+// more.
+func (m *Machine) Fire(s fault.Site) error {
+	if f := m.Faults.Fire(s); f != nil {
+		return f
 	}
-	return m.FaultHook(op)
+	return nil
 }
 
 // ResetTranslationState empties the TLB, the paging-structure caches and

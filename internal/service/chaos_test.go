@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -44,7 +45,7 @@ func chaosRates() fault.Rates {
 // TestChaosSustainedFaultMix drives the full DefaultMix through sustained
 // seeded faults on concurrent executors: every job must terminate with a
 // classified outcome, the accounting must balance, and nothing may leak.
-// Run under -race by make ci-chaos, this is the robustness gate.
+// Run under -race by make test-race, this is the robustness gate.
 func TestChaosSustainedFaultMix(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := New(Config{
@@ -143,13 +144,13 @@ func runChaosTrace(t *testing.T, cfg Config, specs []JobSpec) ([]jobTrace, [6]ui
 	for _, site := range fault.Sites() {
 		fired[site] = s.inj.Fired(site)
 	}
-	_, _, quarantined := s.cache.stats()
+	quarantined := s.cache.snapshot().Quarantined
 	s.Drain()
 	return traces, fired, quarantined
 }
 
 // chaosTraceSpecs is the mix the determinism tests run: both vendors,
-// KPTI, userscan, a stateful spy session and both defense flavours
+// KPTI, userscan, both stateful temporal kinds and both defense flavours
 // (rerand's sweep draws a second restore per attempt).
 func chaosTraceSpecs() []JobSpec {
 	var specs []JobSpec
@@ -159,6 +160,7 @@ func chaosTraceSpecs() []JobSpec {
 		{Kind: KindKPTI, CPU: "12400F"},
 		{Kind: KindUserScan, CPU: "1065G7", EntropyBits: 10},
 		{Kind: KindBehaviorSpy, CPU: "1065G7", DurationSec: 5},
+		{Kind: KindAppFingerprint, CPU: "1065G7", App: "fps-game"},
 		{Kind: KindDefenseEval, CPU: "12400F", Defense: DefenseFLARE},
 		{Kind: KindDefenseEval, CPU: "12400F", Defense: DefenseRerand, RerandPeriodsSec: []float64{0.01}},
 	}
@@ -168,6 +170,76 @@ func chaosTraceSpecs() []JobSpec {
 		specs = append(specs, spec)
 	}
 	return specs
+}
+
+// An injected probe fault fails an appfingerprint attempt transiently, as
+// on every other kind: it must never surface as a finished job with an
+// incorrect classification and an unobserved window.
+func TestAppFingerprintProbeFaultIsTransient(t *testing.T) {
+	s := New(Config{
+		Executors:   1,
+		MaxAttempts: 2,
+		JobDeadline: -1,
+		Fault:       fault.Config{Seed: 1, Rates: fault.Rates{Probe: 1}},
+	})
+	defer s.Drain()
+	j, err := s.Submit(JobSpec{Kind: KindAppFingerprint, Seed: 5, App: "fps-game"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	snap, _ := s.Store().Snapshot(j.ID)
+	if snap.Status != StatusFailed || snap.ErrClass != ClassTransient || snap.Attempts != 2 {
+		t.Fatalf("status %q class %q attempts %d (result %+v), want failed/transient/2",
+			snap.Status, snap.ErrClass, snap.Attempts, snap.Result)
+	}
+	if !strings.Contains(snap.Err, "injected probe fault") {
+		t.Fatalf("error %q does not name the probe fault", snap.Err)
+	}
+}
+
+// A failed attempt on a stateful session must leave the session where it
+// was: the next successful job observes the window the failed one would
+// have, bit-identical to a fresh session's first window.
+func TestFailedTemporalAttemptKeepsTimeline(t *testing.T) {
+	opt := core.Options{}
+	for _, raw := range []JobSpec{
+		{Kind: KindAppFingerprint, Seed: 5, App: "fps-game"},
+		{Kind: KindBehaviorSpy, Seed: 5, DurationSec: 4},
+	} {
+		spec, err := raw.normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := buildSession(spec, core.Calibration{}, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probeFault := fault.New(fault.Config{Seed: 1, Rates: fault.Rates{Probe: 1}})
+		env := &attemptEnv{plan: probeFault.Plan(spec.faultKey(), 1)}
+		if _, err := execute(sess, spec, opt, env); !errors.As(err, new(*fault.Fault)) {
+			t.Fatalf("%s: probe-faulted attempt returned %v, want the injected fault", spec.Kind, err)
+		}
+		if sess.nextT0 != 0 {
+			t.Fatalf("%s: failed attempt advanced the timeline to %v", spec.Kind, sess.nextT0)
+		}
+		got, err := execute(sess, spec, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := buildSession(spec, core.Calibration{}, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := execute(fresh, spec, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: window after a failed attempt differs from a fresh first window\nwant: %+v\ngot:  %+v",
+				spec.Kind, want, got)
+		}
+	}
 }
 
 // TestChaosTraceDeterminismSerialized: with one executor, identical fault
@@ -465,23 +537,22 @@ func TestQuarantineNeverReadopted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, reused, err := cache.acquire(spec)
+	s1, reused, err := cache.acquire(spec, nil)
 	if err != nil || reused {
 		t.Fatalf("first acquire: reused=%v err=%v", reused, err)
 	}
 	cache.quarantine(s1)
 	cache.quarantine(s1) // counted once
 	cache.release(s1)
-	s2, reused, err := cache.acquire(spec)
+	s2, reused, err := cache.acquire(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reused || s2 == s1 {
 		t.Fatal("quarantined session was re-adopted")
 	}
-	made, _, quarantined := cache.stats()
-	if made != 2 || quarantined != 1 {
-		t.Fatalf("made=%d quarantined=%d, want 2/1", made, quarantined)
+	if cs := cache.snapshot(); cs.SessionMisses != 2 || cs.Quarantined != 1 {
+		t.Fatalf("made=%d quarantined=%d, want 2/1", cs.SessionMisses, cs.Quarantined)
 	}
 	// The replacement must be bit-identical per the calibration contract
 	// (compare the cutoffs — the threshold structs carry NaN sentinels,

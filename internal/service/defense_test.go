@@ -221,7 +221,7 @@ func TestCalibrationCacheDefenseKeying(t *testing.T) {
 	warm := norm(JobSpec{Kind: KindKernelBase, CPU: "12400F", Seed: 5})
 
 	// First build populates the calibration cache for the undefended key.
-	warmSess, reused, err := c.acquire(warm)
+	warmSess, reused, err := c.acquire(warm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestCalibrationCacheDefenseKeying(t *testing.T) {
 
 	// Same undefended victim → the rebuild replays the cached calibration.
 	rerand := norm(JobSpec{Kind: KindDefenseEval, CPU: "12400F", Seed: 5, Defense: DefenseRerand})
-	sess, reused, err := c.acquire(rerand)
+	sess, reused, err := c.acquire(rerand, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestCalibrationCacheDefenseKeying(t *testing.T) {
 	// Defended boots of the same CPU/seed → never adopt it.
 	for _, d := range []string{DefenseFLARE, DefenseFGKASLR} {
 		spec := norm(JobSpec{Kind: KindDefenseEval, CPU: "12400F", Seed: 5, Defense: d})
-		sess, reused, err := c.acquire(spec)
+		sess, reused, err := c.acquire(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,6 +63,20 @@
 // scheduler default; results are bit-identical at every setting, so the
 // knob only trades job latency against executor throughput).
 //
+// # Adding a job kind
+//
+// Every kind is one row of kindTable (kinds.go): its default CPU preset,
+// its normalize/validate step, its victim key, its victim boot, its
+// temporal-session init (stateful kinds only) and its run body. Cloud is
+// the row with no boot and an empty victim key. Normalization, victim
+// keys, session builds and job attempts look the row up; nothing else
+// switches on a kind, and Kinds() — hence the /metrics exposition order —
+// is the table order. A new kind is its Kind constant plus one table row,
+// and one directResult reference in the parity suite (service_test.go):
+// the same attack mounted with plain core.* calls, which the scheduler's
+// result must match bit for bit. The §V defenses of KindDefenseEval
+// follow the same pattern in defenseTable.
+//
 // # Routing and affinity (cluster mode)
 //
 // Cluster shards the service into N independent Scheduler instances —
@@ -81,7 +95,7 @@
 //     baseline this beats.
 //   - Placement never changes results. A job is a pure function of its
 //     spec, so cluster output is bit-identical to the single-scheduler
-//     path — the cluster parity suite (`make ci-cluster`) pins every kind
+//     path — the cluster parity suite pins every kind
 //     at workers 0/1/4 × pooled/fresh, stateful sessions included.
 //     Routing is itself a pure function of the spec (specs are normalized
 //     before hashing, the ring is immutable after construction), so
@@ -146,7 +160,7 @@
 // faults fire only on session *builds*, and whether a submission builds or
 // adopts depends on execution order — full-trace identity for those two
 // sites holds under serialized execution (the concurrent chaos tests zero
-// them; `make ci-chaos` runs the whole matrix under -race). A disabled
+// them; `make test-race` runs the whole matrix under -race). A disabled
 // injector is a nil pointer: the production hot path pays one nil test.
 //
 // The result store streams completed jobs to subscribers and aggregates
@@ -178,7 +192,7 @@
 //     the only always-on cost is one atomic histogram add per stage.
 //   - Traces are determinism oracles, not just debug output. A trace's
 //     canonical form (wall-clock fields zeroed) is a pure function of
-//     (seed, spec, fault schedule) under serialized execution, so `make
-//     ci-obs` asserts byte-identical span trees across runs — any code
+//     (seed, spec, fault schedule) under serialized execution, so the
+//     chaos suite asserts byte-identical span trees across runs — any code
 //     change that breaks trace equality has changed actual control flow.
 package service

@@ -2,373 +2,79 @@ package service
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/defense"
 	"repro/internal/fault"
-	"repro/internal/userspace"
-	"repro/internal/winkernel"
 )
 
-// executeAttempt runs one fault-scoped attempt: the attempt's machine hook
-// is installed on the session machine for the duration (restore and probe
-// draws fire through it) and cleared before the session goes back to the
-// cache, so parked sessions are always hook-free. Cloud jobs boot inside
-// core.CloudBreak on a machine the service never sees, so their boot and
-// probe draws fire from the plan directly, here.
-func executeAttempt(sess *session, spec JobSpec, opt core.Options, env *attemptEnv) (*Result, error) {
-	if sess != nil {
-		if hook := env.hook(); hook != nil {
-			sess.m.FaultHook = hook
-			defer func() { sess.m.FaultHook = nil }()
-		}
-	} else if spec.Kind == KindCloud {
-		if f := env.fire(fault.Boot); f != nil {
-			return nil, f
-		}
-		if f := env.fire(fault.Probe); f != nil {
-			return nil, f
-		}
+// execute runs one attempt of a job on its session (nil for cloud jobs,
+// which boot their victim inside core.CloudBreak) with the given scan
+// options. Before the attack the session is rewound to its saved
+// snapshot, so the job observes the exact machine state a fresh
+// boot-and-calibrate would produce regardless of what ran on the session
+// before — the determinism contract the parity suites enforce. After a
+// successful job on a stateful kind, the session advances to the end of
+// the job's window and re-snapshots.
+//
+// The attempt's fault plan is installed on the session machine for the
+// duration (restore and probe draws fire through it) and cleared before
+// the session goes back to the cache, so parked sessions never carry a
+// plan. Cloud jobs boot on a machine the service never sees, so their
+// boot and probe draws fire from the plan directly, here. The restore and
+// execute stages get child spans and stage-histogram samples. A nil env —
+// the parity suites' direct calls — draws no faults and records nothing.
+func execute(sess *session, spec JobSpec, opt core.Options, env *attemptEnv) (*Result, error) {
+	if env == nil {
+		env = &attemptEnv{}
 	}
-	return executeTraced(sess, spec, opt, env)
-}
-
-// executeTraced is execute with the attempt's restore/execute child spans
-// and stage metrics threaded around the same two phases execute runs.
-// Behaviour (restore-fault consumption included) is identical to execute —
-// the instrumentation is strictly additive, which is what keeps parity
-// suites calling execute directly valid.
-func executeTraced(sess *session, spec JobSpec, opt core.Options, env *attemptEnv) (*Result, error) {
-	if spec.Kind == KindCloud {
-		esp := env.span.Child("execute")
+	def := kindOf(spec.Kind)
+	if sess == nil {
+		if f := env.plan.Fire(fault.Boot); f != nil {
+			return nil, f
+		}
+		if f := env.plan.Fire(fault.Probe); f != nil {
+			return nil, f
+		}
+	} else {
+		sess.m.Faults = env.plan
+		defer func() { sess.m.Faults = nil }()
+		rsp := env.span.Child("restore")
 		t0 := time.Now()
-		res, err := executeCloud(spec, opt)
-		env.met.execute.Observe(uint64(time.Since(t0)))
-		if res != nil {
-			esp.SetSim(res.TotalSimSec)
+		err := restoreSession(sess)
+		env.met.observe(stageRestore, time.Since(t0))
+		rsp.End()
+		if err != nil {
+			return nil, err
 		}
-		esp.End()
-		return res, err
-	}
-	rsp := env.span.Child("restore")
-	t0 := time.Now()
-	err := restoreSession(sess)
-	env.met.restore.Observe(uint64(time.Since(t0)))
-	rsp.End()
-	if err != nil {
-		return nil, err
+		sess.p.Opt.Workers = opt.Workers
+		sess.p.Opt.Pool = opt.Pool
 	}
 	esp := env.span.Child("execute")
-	t0 = time.Now()
-	res, err := executeKind(sess, spec, opt)
-	env.met.execute.Observe(uint64(time.Since(t0)))
+	t0 := time.Now()
+	res, err := def.run(sess, spec, opt)
+	if err == nil && def.initTemporal != nil {
+		// Carry the victim timeline and the machine state to the next job —
+		// the stateful half of the session contract.
+		sess.nextT0 = res.WindowEndSec
+		sess.state = sess.p.Checkpoint()
+	}
+	env.met.observe(stageExecute, time.Since(t0))
 	if res != nil {
+		res.Kind = spec.Kind
 		esp.SetSim(res.TotalSimSec)
 	}
 	esp.End()
 	return res, err
 }
 
-// execute runs one job on its session (nil for cloud jobs, which boot
-// their victim inside core.CloudBreak) with the scheduler's scan options.
-// Before the attack the session is rewound to its post-calibration
-// checkpoint, so the job observes the exact machine state a fresh
-// boot-and-calibrate would produce regardless of what ran on the session
-// before — the determinism contract the parity suite enforces. A failed
-// rewind means the session no longer reproduces its checkpoint; it is
-// reported as ErrSessionCorrupt, which quarantines the session upstream.
-func execute(sess *session, spec JobSpec, opt core.Options) (*Result, error) {
-	if spec.Kind == KindCloud {
-		return executeCloud(spec, opt)
-	}
-	if err := restoreSession(sess); err != nil {
-		return nil, err
-	}
-	return executeKind(sess, spec, opt)
-}
-
-// restoreSession rewinds the session machine to its post-calibration
-// checkpoint (the restore phase of every non-cloud job).
+// restoreSession rewinds the session machine to its saved snapshot. A
+// failed rewind means the session no longer reproduces its snapshot; it
+// is reported as ErrSessionCorrupt, which quarantines the session
+// upstream.
 func restoreSession(sess *session) error {
 	if err := sess.p.Restore(sess.state); err != nil {
 		return fmt.Errorf("%w: %w", ErrSessionCorrupt, err)
 	}
 	return nil
-}
-
-// executeKind dispatches one restored session to its attack body.
-func executeKind(sess *session, spec JobSpec, opt core.Options) (*Result, error) {
-	p := sess.p
-	p.Opt.Workers = opt.Workers
-	p.Opt.Pool = opt.Pool
-	preset := p.M.Preset
-
-	switch spec.Kind {
-	case KindKernelBase:
-		res, err := core.KernelBase(p)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Kind:        spec.Kind,
-			Correct:     res.Base == sess.kernel.Base,
-			Base:        uint64(res.Base),
-			ProbeSimSec: res.ProbeSeconds(preset),
-			TotalSimSec: res.TotalSeconds(preset),
-		}, nil
-
-	case KindKPTI:
-		res, err := core.KPTIBreak(p, spec.Trampoline)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Kind:        spec.Kind,
-			Correct:     res.Base == sess.kernel.Base,
-			Base:        uint64(res.Base),
-			ProbeSimSec: preset.CyclesToSeconds(res.ProbeCycles),
-			TotalSimSec: preset.CyclesToSeconds(res.TotalCycles),
-		}, nil
-
-	case KindModules:
-		if err := p.M.Fire("probe"); err != nil {
-			return nil, err
-		}
-		table := core.SizeTable(sess.kernel.ProcModules())
-		res := core.Modules(p, table)
-		score := core.ScoreModules(res, sess.kernel.Modules, table)
-		regions := make([]Region, len(res.Regions))
-		for i, r := range res.Regions {
-			regions[i] = Region{
-				Start: uint64(r.Base),
-				End:   uint64(r.End()),
-				Class: strings.Join(r.Names, "|"),
-			}
-		}
-		return &Result{
-			Kind:        spec.Kind,
-			Correct:     score.DetectionAccuracy() >= 0.99,
-			Regions:     regions,
-			Accuracy:    score.DetectionAccuracy(),
-			ProbeSimSec: preset.CyclesToSeconds(res.ProbeCycles),
-			TotalSimSec: preset.CyclesToSeconds(res.TotalCycles),
-		}, nil
-
-	case KindWindows:
-		res, err := core.WindowsKernel(p, winkernel.ImageSlots)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Kind:        spec.Kind,
-			Correct:     res.RegionBase == sess.win.Base,
-			Base:        uint64(res.RegionBase),
-			RunSlots:    res.RunSlots,
-			ProbeSimSec: preset.CyclesToSeconds(res.ProbeCycles),
-			TotalSimSec: preset.CyclesToSeconds(res.TotalCycles),
-		}, nil
-
-	case KindBehaviorSpy:
-		t0 := p.M.RDTSC()
-		winStart := sess.nextT0
-		winEnd := winStart + spec.DurationSec
-		traces, err := sess.spy.RunWindow(sess.drv, winStart, winEnd)
-		if err != nil {
-			return nil, err
-		}
-		probed := p.M.RDTSC() - t0
-		acc := make(map[string]float64, len(traces))
-		mean := 0.0
-		for i, tr := range traces {
-			a := tr.Accuracy(sess.truth[i])
-			acc[tr.Module] = a
-			mean += a
-		}
-		if len(traces) > 0 {
-			mean /= float64(len(traces))
-		}
-		// Advance the session's timeline and carry the machine state to the
-		// next job via a fresh snapshot — the stateful half of the session
-		// contract.
-		sess.nextT0 = winEnd
-		sess.state = p.Checkpoint()
-		return &Result{
-			Kind:           spec.Kind,
-			Correct:        mean >= 0.9,
-			Accuracy:       mean,
-			TargetAccuracy: acc,
-			WindowStartSec: winStart,
-			WindowEndSec:   winEnd,
-			ProbeSimSec:    preset.CyclesToSeconds(probed),
-			TotalSimSec:    preset.CyclesToSeconds(probed),
-		}, nil
-
-	case KindAppFingerprint:
-		t0 := p.M.RDTSC()
-		winStart := sess.nextT0
-		winEnd := winStart + float64(spec.Ticks)*spec.TickSec
-		got, err := sess.fp.ClassifyFrom(sess.drv, winStart)
-		app := got.Name
-		if err != nil {
-			// An unmatched active set is an attack outcome, not an executor
-			// failure: report it as an incorrect classification.
-			app = ""
-		}
-		probed := p.M.RDTSC() - t0
-		sess.nextT0 = winEnd
-		sess.state = p.Checkpoint()
-		return &Result{
-			Kind:           spec.Kind,
-			Correct:        app == spec.App,
-			App:            app,
-			WindowStartSec: winStart,
-			WindowEndSec:   winEnd,
-			ProbeSimSec:    preset.CyclesToSeconds(probed),
-			TotalSimSec:    preset.CyclesToSeconds(probed),
-		}, nil
-
-	case KindDefenseEval:
-		return executeDefense(sess, spec)
-
-	case KindUserScan:
-		if err := p.M.Fire("probe"); err != nil {
-			return nil, err
-		}
-		start, end := sess.libWindow()
-		res := core.UserScan(p, start, end)
-		regions := make([]Region, len(res.Regions))
-		for i, r := range res.Regions {
-			regions[i] = Region{Start: uint64(r.Start), End: uint64(r.End), Class: r.Class.String()}
-		}
-		found := core.FingerprintLibraries(res.Regions, userspace.StandardLibraries())
-		fm := make(map[string]uint64, len(found))
-		for name, va := range found {
-			fm[name] = uint64(va)
-		}
-		correct := len(sess.proc.Libs) > 0
-		for _, lib := range sess.proc.Libs {
-			if fm[lib.Image.Name] != uint64(lib.Base) {
-				correct = false
-			}
-		}
-		return &Result{
-			Kind:        spec.Kind,
-			Correct:     correct,
-			Regions:     regions,
-			Found:       fm,
-			ProbeSimSec: preset.CyclesToSeconds(res.LoadCycles + res.StoreCycles),
-			TotalSimSec: preset.CyclesToSeconds(res.TotalCycles),
-		}, nil
-	}
-	return nil, fmt.Errorf("service: unknown job kind %q", spec.Kind)
-}
-
-// executeDefense runs one §V countermeasure evaluation on the session's
-// defense-configured victim: the session restore already rewound the
-// machine to its post-calibration checkpoint (the state a fresh
-// defense.Evaluate* boot-and-calibrate produces), so each attack body is
-// bit-identical to the direct evaluation at the same seed. Correct means
-// the evaluation reproduced the paper's §V finding for that defense.
-func executeDefense(sess *session, spec JobSpec) (*Result, error) {
-	p := sess.p
-	if err := p.M.Fire("probe"); err != nil {
-		return nil, err
-	}
-	preset := p.M.Preset
-	t0 := p.M.RDTSC()
-	res := &Result{Kind: spec.Kind, Defense: spec.Defense}
-
-	switch spec.Defense {
-	case DefenseFLARE:
-		out := defense.FlareAttack(p, sess.kernel)
-		res.Bypassed = out.Bypassed()
-		res.PageSignal = out.PageTableDistinguishes
-		res.Base = uint64(out.TLBBaseFound)
-		// §V-A: FLARE erases the page-table signal but the TLB attack
-		// still recovers the base.
-		res.Correct = !out.PageTableDistinguishes && out.Bypassed()
-
-	case DefenseFGKASLR:
-		out, err := defense.FGKASLRAttack(p, sess.kernel, spec.Seed, spec.Function)
-		if err != nil {
-			return nil, err
-		}
-		res.Bypassed = out.Bypassed()
-		res.OffsetStable = out.OffsetStable
-		res.Base = uint64(out.TemplateFoundPage)
-		// §V-A: the offset moves, yet the template attack still finds it.
-		res.Correct = out.Bypassed() && !out.OffsetStable
-
-	case DefenseRerand:
-		out, err := defense.RerandAttack(p, sess.kernel, spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-		res.StaleHit = out.StaleHit
-		res.Base = uint64(out.RecoveredBase)
-		// §V-A: re-randomization works — the recovered base goes stale.
-		res.Correct = !out.StaleHit
-		if len(spec.RerandPeriodsSec) > 0 {
-			// The sweep reruns the base attack from the same checkpoint the
-			// staleness check used, so its runtime is the same pure function
-			// of the session state.
-			if err := p.Restore(sess.state); err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrSessionCorrupt, err)
-			}
-			pts, attackSec, err := defense.RerandSweep(p, sess.kernel, spec.RerandPeriodsSec)
-			if err != nil {
-				return nil, err
-			}
-			res.RerandSweep = make([]RerandPoint, len(pts))
-			for i, pt := range pts {
-				res.RerandSweep[i] = RerandPoint{PeriodSec: pt.PeriodSec, WindowSec: pt.WindowSec, Exploitable: pt.Exploitable}
-				if pt.Exploitable != (pt.WindowSec > 0) {
-					res.Correct = false
-				}
-			}
-			res.ProbeSimSec = attackSec
-		}
-
-	case DefenseMaskedOp:
-		pop := defense.UbuntuDefaultPopulation()
-		res.AffectedExecutables = pop.UsingMaskedOps
-		res.TotalExecutables = pop.TotalExecutables
-		// §V-B: the mitigation touches 6 of 4104 Ubuntu executables.
-		res.Correct = pop.UsingMaskedOps == 6 && pop.TotalExecutables == 4104
-
-	default:
-		return nil, fmt.Errorf("service: unknown defense %q", spec.Defense)
-	}
-
-	total := preset.CyclesToSeconds(p.M.RDTSC() - t0)
-	if res.ProbeSimSec == 0 {
-		res.ProbeSimSec = total
-	}
-	res.TotalSimSec = total
-	return res, nil
-}
-
-// executeCloud runs a §IV-H scenario end to end (its own boot, prober and
-// scoring live inside core.CloudBreak).
-func executeCloud(spec JobSpec, opt core.Options) (*Result, error) {
-	prov := spec.cloudProvider()
-	res, err := core.CloudBreak(prov, spec.Seed, core.CloudBreakOptions{
-		AzureMaxSlot: spec.AzureMaxSlot,
-		Probe:        opt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sc := core.Scenario(prov)
-	return &Result{
-		Kind:          spec.Kind,
-		Correct:       true, // CloudBreak verifies against ground truth internally
-		Base:          uint64(res.KernelBase),
-		ModulesFound:  res.ModulesFound,
-		ViaTrampoline: res.ViaTrampoline,
-		ProbeSimSec:   sc.Preset.CyclesToSeconds(res.BaseCycles),
-		TotalSimSec:   sc.Preset.CyclesToSeconds(res.BaseCycles + res.ModuleCycles),
-	}, nil
 }

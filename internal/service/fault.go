@@ -112,49 +112,9 @@ type attemptEnv struct {
 	// on a stop signal nothing would ever send.
 	watchdog bool
 	// span is this attempt's trace span (nil unless the job is sampled —
-	// every use is a nil-safe call) and met the scheduler's metrics plane;
-	// both ride the env so the exec path needs no extra plumbing.
+	// every use is a nil-safe call) and met the scheduler's metrics plane
+	// (nil records nothing); both ride the env so the exec path needs no
+	// extra plumbing.
 	span *obs.Span
 	met  *metricsPlane
-}
-
-// hook adapts the attempt's fault plan to the machine.FaultHook contract,
-// mapping the machine/core operation names onto injection sites. A nil env
-// or plan yields a nil hook — the machine's disabled state.
-func (env *attemptEnv) hook() func(op string) error {
-	if env == nil || env.plan == nil {
-		return nil
-	}
-	return func(op string) error {
-		var site fault.Site
-		switch op {
-		case "boot":
-			site = fault.Boot
-		case "calibrate":
-			site = fault.Calibrate
-		case "restore":
-			site = fault.Restore
-		case "probe":
-			site = fault.Probe
-		default:
-			return nil
-		}
-		if f := env.plan.Fire(site); f != nil {
-			return f
-		}
-		return nil
-	}
-}
-
-// fire draws one site directly from the attempt's plan (the service-level
-// sites — stall, panic, and the cloud path's boot/probe draws that never
-// pass through a session machine). Nil-safe like the plan itself.
-func (env *attemptEnv) fire(s fault.Site) error {
-	if env == nil {
-		return nil
-	}
-	if f := env.plan.Fire(s); f != nil {
-		return f
-	}
-	return nil
 }

@@ -1,13 +1,10 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/linux"
 	"repro/internal/obs"
 	"repro/internal/uarch"
 )
@@ -52,7 +49,11 @@ const (
 
 // Kinds lists every schedulable job kind.
 func Kinds() []Kind {
-	return []Kind{KindKernelBase, KindKPTI, KindModules, KindWindows, KindUserScan, KindCloud, KindBehaviorSpy, KindAppFingerprint, KindDefenseEval}
+	out := make([]Kind, len(kindTable))
+	for i := range kindTable {
+		out[i] = kindTable[i].kind
+	}
+	return out
 }
 
 // The §V defenses a KindDefenseEval job can evaluate.
@@ -75,7 +76,11 @@ const (
 
 // Defenses lists every evaluable defense.
 func Defenses() []string {
-	return []string{DefenseFLARE, DefenseFGKASLR, DefenseRerand, DefenseMaskedOp}
+	out := make([]string, len(defenseTable))
+	for i := range defenseTable {
+		out[i] = defenseTable[i].name
+	}
+	return out
 }
 
 // JobSpec fully determines one attack job: the kind, the victim
@@ -169,170 +174,23 @@ func (s JobSpec) normalized() (JobSpec, error) {
 			return s, fmt.Errorf("service: scan_workers %d out of range [0, %d]", w, MaxJobScanWorkers)
 		}
 	}
-	switch s.Kind {
-	case KindKernelBase:
-		if s.CPU == "" {
-			s.CPU = "12400F"
-		}
-	case KindKPTI:
-		if s.CPU == "" {
-			s.CPU = "12400F"
-		}
-		if s.Trampoline == 0 {
-			s.Trampoline = linux.DefaultTrampolineOffset
-		}
-	case KindModules:
-		if s.CPU == "" {
-			s.CPU = "1065G7"
-		}
-	case KindWindows:
-		if s.CPU == "" {
-			s.CPU = "12400F"
-		}
-		if s.Drivers == 0 {
-			s.Drivers = 24
-		}
-	case KindUserScan:
-		if s.CPU == "" {
-			s.CPU = "1065G7"
-		}
-		if s.EntropyBits == 0 {
-			s.EntropyBits = 12
-		}
-	case KindCloud:
-		switch s.Provider {
-		case "ec2", "gce", "azure":
-		default:
-			return s, fmt.Errorf("service: cloud job needs provider ec2|gce|azure, got %q", s.Provider)
-		}
-		return s, nil // the scenario fixes the preset
-	case KindBehaviorSpy:
-		if s.CPU == "" {
-			s.CPU = "1065G7"
-		}
-		if len(s.Targets) == 0 {
-			s.Targets = []string{"bluetooth", "psmouse"}
-		}
-		if len(s.Targets) > core.MaxSpyTargets {
-			return s, fmt.Errorf("service: %d spy targets, max %d", len(s.Targets), core.MaxSpyTargets)
-		}
-		// Targets must be watchable: the spy locates them with the module
-		// attack, which only identifies uniquely-sized modules. Anything
-		// else — a typo, or a module in the shared-size pool — would
-		// previously run against a fabricated generic activity and return
-		// misleading traces; fail the spec at submission instead.
-		for _, name := range s.Targets {
-			if !watchableModule(name) {
-				return s, fmt.Errorf("service: target module %q is not uniquely identifiable (watchable: %s)",
-					name, strings.Join(linux.UniqueSizedModuleNames(), ", "))
-			}
-		}
-		if s.DurationSec == 0 {
-			s.DurationSec = 20
-		}
-		if s.DurationSec < 0 {
-			return s, fmt.Errorf("service: negative spy window %v", s.DurationSec)
-		}
-		if s.TickSec == 0 {
-			s.TickSec = 1
-		}
-		if s.TickSec < 0 {
-			return s, fmt.Errorf("service: negative tick %v", s.TickSec)
-		}
-		// The window must be a whole number of ticks: the session advances
-		// its timeline by DurationSec per job, so a fractional tick would
-		// make consecutive windows overlap off-grid and break the
-		// window-k == direct-run-window-k contract. It must also be
-		// bounded — the executor allocates one record per tick.
-		ticks := s.DurationSec / s.TickSec
-		if ticks > MaxJobTicks {
-			return s, fmt.Errorf("service: spy window of %.0f ticks exceeds the %d-tick job bound", ticks, MaxJobTicks)
-		}
-		if math.Abs(ticks-math.Round(ticks)) > 1e-9*math.Max(ticks, 1) {
-			return s, fmt.Errorf("service: duration_sec %v is not a whole number of %vs ticks", s.DurationSec, s.TickSec)
-		}
-	case KindAppFingerprint:
-		if s.CPU == "" {
-			s.CPU = "1065G7"
-		}
-		if s.App == "" {
-			s.App = "music-player"
-		}
-		if !knownAppProfile(s.App) {
-			return s, fmt.Errorf("service: unknown app profile %q", s.App)
-		}
-		if s.Ticks == 0 {
-			s.Ticks = 8
-		}
-		if s.Ticks < 0 {
-			return s, fmt.Errorf("service: negative tick count %d", s.Ticks)
-		}
-		if s.Ticks > MaxJobTicks {
-			return s, fmt.Errorf("service: %d ticks exceeds the %d-tick job bound", s.Ticks, MaxJobTicks)
-		}
-		if s.TickSec == 0 {
-			s.TickSec = 1
-		}
-		if s.TickSec < 0 {
-			return s, fmt.Errorf("service: negative tick %v", s.TickSec)
-		}
-	case KindDefenseEval:
-		if s.CPU == "" {
-			s.CPU = "12400F"
-		}
-		switch s.Defense {
-		case DefenseFLARE, DefenseFGKASLR, DefenseRerand, DefenseMaskedOp:
-		default:
-			return s, fmt.Errorf("service: defenseeval job needs defense %s, got %q",
-				strings.Join(Defenses(), "|"), s.Defense)
-		}
-		// The evaluated defense *is* the victim's boot configuration: derive
-		// the boot flags from it so the victim key, the boot and the attack
-		// can never disagree (a flare evaluation of an undefended boot would
-		// be meaningless).
-		s.FLARE = s.Defense == DefenseFLARE
-		s.FGKASLR = s.Defense == DefenseFGKASLR
-		if s.Defense == DefenseFGKASLR {
-			if s.Function == "" {
-				s.Function = "tcp_sendmsg"
-			}
-			if !linux.KnownKernelFunction(s.Function) {
-				return s, fmt.Errorf("service: unknown kernel function %q", s.Function)
-			}
-		} else if s.Function != "" {
-			return s, fmt.Errorf("service: function is only meaningful for defense fgkaslr")
-		}
-		if s.Defense == DefenseRerand {
-			if len(s.RerandPeriodsSec) > MaxRerandSweepPeriods {
-				return s, fmt.Errorf("service: %d sweep periods, max %d", len(s.RerandPeriodsSec), MaxRerandSweepPeriods)
-			}
-			for _, p := range s.RerandPeriodsSec {
-				if p <= 0 {
-					return s, fmt.Errorf("service: non-positive rerand period %v", p)
-				}
-			}
-		} else if len(s.RerandPeriodsSec) > 0 {
-			return s, fmt.Errorf("service: rerand_periods_sec is only meaningful for defense rerand")
-		}
-	default:
+	def := kindOf(s.Kind)
+	if def == nil {
 		return s, fmt.Errorf("service: unknown job kind %q", s.Kind)
+	}
+	s.CPU = cmp.Or(s.CPU, def.cpu)
+	if def.normalize != nil {
+		if err := def.normalize(&s); err != nil {
+			return s, err
+		}
+	}
+	if def.boot == nil {
+		return s, nil // the scenario fixes the preset
 	}
 	if uarch.ByName(s.CPU) == nil {
 		return s, fmt.Errorf("service: no CPU preset matches %q", s.CPU)
 	}
 	return s, nil
-}
-
-// cloudProvider maps the spec's provider string (kind cloud only).
-func (s JobSpec) cloudProvider() core.CloudProvider {
-	switch s.Provider {
-	case "gce":
-		return core.GoogleGCE
-	case "azure":
-		return core.MicrosoftAzure
-	default:
-		return core.AmazonEC2
-	}
 }
 
 // victimKey identifies the victim a job runs against: every field that
@@ -347,26 +205,10 @@ func (s JobSpec) cloudProvider() core.CloudProvider {
 // surface, so it must never adopt an undefended boot's session *or* its
 // cached calibration (the calibration cache is keyed by the same string).
 func (s JobSpec) victimKey() string {
-	switch s.Kind {
-	case KindKernelBase, KindModules, KindDefenseEval:
-		return fmt.Sprintf("linux|%s|seed=%d|flare=%v|fgkaslr=%v", s.CPU, s.Seed, s.FLARE, s.FGKASLR)
-	case KindKPTI:
-		return fmt.Sprintf("linux+kpti|%s|seed=%d|flare=%v|fgkaslr=%v|tramp=%#x", s.CPU, s.Seed, s.FLARE, s.FGKASLR, s.Trampoline)
-	case KindWindows:
-		return fmt.Sprintf("windows|%s|seed=%d|drivers=%d", s.CPU, s.Seed, s.Drivers)
-	case KindUserScan:
-		return fmt.Sprintf("user|%s|seed=%d|entropy=%d|sgx=%v", s.CPU, s.Seed, s.EntropyBits, s.SGX)
-	case KindBehaviorSpy:
-		// Stateful: the key pins every field that shapes the victim's
-		// timeline — jobs sharing it continue one spy session.
-		return fmt.Sprintf("spy|%s|seed=%d|flare=%v|fgkaslr=%v|targets=%s|tick=%g|win=%g",
-			s.CPU, s.Seed, s.FLARE, s.FGKASLR, strings.Join(s.Targets, ","), s.TickSec, s.DurationSec)
-	case KindAppFingerprint:
-		return fmt.Sprintf("appfp|%s|seed=%d|flare=%v|fgkaslr=%v|app=%s|ticks=%d|tick=%g",
-			s.CPU, s.Seed, s.FLARE, s.FGKASLR, s.App, s.Ticks, s.TickSec)
-	default: // cloud boots inside CloudBreak; no session sharing
-		return ""
+	if def := kindOf(s.Kind); def != nil && def.victimKey != nil {
+		return def.victimKey(s)
 	}
+	return "" // cloud boots inside CloudBreak; no session sharing
 }
 
 // routingKey identifies the victim a job should be co-located with: the
@@ -381,27 +223,6 @@ func (s JobSpec) routingKey() string {
 		return key
 	}
 	return fmt.Sprintf("cloud|%s|seed=%d|maxslot=%d", s.Provider, s.Seed, s.AzureMaxSlot)
-}
-
-// watchableModule reports whether a spy target can be located by the
-// module attack (unique mapped size on the default victim).
-func watchableModule(name string) bool {
-	for _, n := range linux.UniqueSizedModuleNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// knownAppProfile reports whether name is in the standard population.
-func knownAppProfile(name string) bool {
-	for _, prof := range core.StandardAppProfiles() {
-		if prof.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Status is a job's lifecycle state.
@@ -503,8 +324,8 @@ type Job struct {
 	ID   uint64  `json:"id"`
 	Spec JobSpec `json:"spec"`
 
-	Status Status  `json:"status"`
-	Err    string  `json:"error,omitempty"`
+	Status Status `json:"status"`
+	Err    string `json:"error,omitempty"`
 	// ErrClass is the failure's retry classification (failed jobs only).
 	ErrClass ErrorClass `json:"error_class,omitempty"`
 	Result   *Result    `json:"result,omitempty"`

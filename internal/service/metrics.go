@@ -1,9 +1,23 @@
 package service
 
 import (
+	"time"
+
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
+
+// stage indexes a job's timed lifecycle stages (stageNames).
+type stage int
+
+const (
+	stageQueue stage = iota
+	stageAcquire
+	stageRestore
+	stageExecute
+)
+
+var stageNames = [...]string{"queue", "acquire", "restore", "execute"}
 
 // metricsPlane wires the scheduler's subsystems into one obs.Registry —
 // the GET /metrics surface. Two kinds of series live here:
@@ -20,12 +34,16 @@ import (
 //     under full load.
 type metricsPlane struct {
 	reg *obs.Registry
+	// stages holds the per-stage host-latency histograms (ns samples).
+	stages [len(stageNames)]*obs.Histogram
+}
 
-	// Per-stage host-latency histograms (nanosecond samples).
-	queueWait *obs.Histogram
-	acquire   *obs.Histogram
-	restore   *obs.Histogram
-	execute   *obs.Histogram
+// observe records one stage sample. Nil-safe: attempts run without a
+// metrics plane record nothing.
+func (m *metricsPlane) observe(st stage, d time.Duration) {
+	if m != nil {
+		m.stages[st].Observe(uint64(d))
+	}
 }
 
 // newMetricsPlane builds the registry over a fully constructed scheduler
@@ -100,9 +118,10 @@ func newMetricsPlane(s *Scheduler) *metricsPlane {
 	r.GaugeFunc("scand_traces_retained", "Traces currently held in the bounded ring.",
 		func() float64 { return float64(s.rec.Len()) })
 
-	m.queueWait = r.Histogram("scand_stage_seconds", "Host wall-clock per lifecycle stage.", obs.L("stage", "queue"))
-	m.acquire = r.Histogram("scand_stage_seconds", "", obs.L("stage", "acquire"))
-	m.restore = r.Histogram("scand_stage_seconds", "", obs.L("stage", "restore"))
-	m.execute = r.Histogram("scand_stage_seconds", "", obs.L("stage", "execute"))
+	help := "Host wall-clock per lifecycle stage."
+	for st, name := range stageNames {
+		m.stages[st] = r.Histogram("scand_stage_seconds", help, obs.L("stage", name))
+		help = ""
+	}
 	return m
 }

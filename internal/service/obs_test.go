@@ -228,7 +228,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // by back-dating its submission.
 func completeTimed(st *Store, j *Job, lat time.Duration) {
 	j.Submitted = time.Now().Add(-lat)
-	st.complete(j, &Result{Kind: j.Spec.Kind, Correct: true, TotalSimSec: 1}, nil)
+	st.complete(j, &Result{Kind: j.Spec.Kind, Correct: true, TotalSimSec: 1}, nil, 1)
 }
 
 // Store.Stats under eviction churn: the latency quantiles and aggregate
@@ -274,7 +274,7 @@ func TestStoreStatsHistogramUnderEviction(t *testing.T) {
 }
 
 // Stats scrapes concurrent with TTL-churning completions must stay
-// consistent (run under -race by ci-obs): every counter monotonic, the
+// consistent (run under -race by make test-race): every counter monotonic, the
 // quantiles always ordered, eviction never double-counted.
 func TestStoreStatsConcurrentWithTTLChurn(t *testing.T) {
 	st := NewBoundedStore(StoreConfig{MaxJobs: 8, TTL: time.Millisecond})

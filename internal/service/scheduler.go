@@ -67,7 +67,7 @@ type Config struct {
 	// backpressure.
 	ShedWatermark int
 	// Fault configures deterministic fault injection (zero = disabled, the
-	// production state: every hook degenerates to a nil test).
+	// production state: every fault draw degenerates to a nil test).
 	Fault fault.Config
 	// TraceSample enables per-job lifecycle tracing: every job whose ID is
 	// a multiple of TraceSample gets a span tree (1 = every job). 0
@@ -200,12 +200,6 @@ func (s *Scheduler) Metrics() *obs.Registry { return s.met.reg }
 // retains it (false when tracing is off, the job was unsampled, or the
 // ring evicted it).
 func (s *Scheduler) Trace(id uint64) (*obs.Trace, bool) { return s.rec.Get(id) }
-
-// scanOptions returns the per-job core options the scheduler's
-// configuration implies.
-func (s *Scheduler) scanOptions() core.Options {
-	return core.Options{Workers: s.cfg.ScanWorkers, Pool: s.pool}
-}
 
 // Submit validates and enqueues a job. It never blocks: a full queue
 // returns ErrQueueFull, a draining scheduler ErrDraining.
@@ -364,11 +358,11 @@ func (s *Scheduler) runJob(j *Job) {
 	s.store.markRunning(j)
 	j.qspan.End()
 	if wait := j.Started.Sub(j.Submitted); wait > 0 {
-		s.met.queueWait.Observe(uint64(wait))
+		s.met.observe(stageQueue, wait)
 	}
 	root := j.trace.Root()
 	key := j.Spec.faultKey()
-	opt := s.scanOptions()
+	opt := core.Options{Workers: s.cfg.ScanWorkers, Pool: s.pool}
 	if j.Spec.ScanWorkers != nil {
 		// Per-job override (validated at submission): parallelism is
 		// host-side only, so results stay bit-identical to the
@@ -416,7 +410,7 @@ func (s *Scheduler) runJob(j *Job) {
 		root.Annotate("attempts", strconv.Itoa(attempt))
 		root.End()
 	}
-	s.store.completeAttempts(j, res, err, attempt)
+	s.store.complete(j, res, err, attempt)
 }
 
 // traceAttrs builds the root span's annotations from the normalized spec:
@@ -542,12 +536,12 @@ func (s *Scheduler) attempt(j *Job, key uint64, attempt int, opt core.Options, s
 // that already failed.
 func (s *Scheduler) attemptBody(j *Job, opt core.Options, env *attemptEnv) (res *Result, err error) {
 	var sess *session
-	if j.Spec.Kind != KindCloud {
+	if kindOf(j.Spec.Kind).boot != nil {
 		acq := env.span.Child("acquire")
 		t0 := time.Now()
 		var reused bool
-		sess, reused, err = s.cache.acquireHook(j.Spec, env.hook())
-		s.met.acquire.Observe(uint64(time.Since(t0)))
+		sess, reused, err = s.cache.acquire(j.Spec, env.plan)
+		s.met.observe(stageAcquire, time.Since(t0))
 		if err != nil {
 			annotateFailure(acq, err)
 			acq.End()
@@ -590,10 +584,10 @@ func (s *Scheduler) attemptBody(j *Job, opt core.Options, env *attemptEnv) (res 
 		}
 		s.cache.release(sess)
 	}()
-	if f := env.fire(fault.Panic); f != nil {
+	if f := env.plan.Fire(fault.Panic); f != nil {
 		panic(f)
 	}
-	if f := env.fire(fault.Stall); f != nil {
+	if f := env.plan.Fire(fault.Stall); f != nil {
 		if env.watchdog {
 			// Wedge until the watchdog deadline fails the attempt (or the
 			// drain lets everything go): this is the "fails, not leaks"
@@ -605,5 +599,5 @@ func (s *Scheduler) attemptBody(j *Job, opt core.Options, env *attemptEnv) (res 
 		}
 		return nil, f
 	}
-	return executeAttempt(sess, j.Spec, opt, env)
+	return execute(sess, j.Spec, opt, env)
 }

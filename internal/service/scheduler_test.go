@@ -1,8 +1,12 @@
 package service
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // cheapMix is a load mix of the fast kinds (for race-detector runs).
@@ -100,17 +104,34 @@ func TestBoundedQueueBackpressure(t *testing.T) {
 	}
 }
 
-// Invalid specs must be rejected at submission, not at execution.
+// Invalid specs must be rejected at submission, not at execution, each by
+// the check that names its fault.
 func TestSubmitValidation(t *testing.T) {
 	s := New(Config{Executors: 1})
 	defer s.Drain()
-	for _, spec := range []JobSpec{
-		{Kind: "frobnicate"},
-		{Kind: KindCloud, Provider: "dc1"},
-		{Kind: KindKernelBase, CPU: "no-such-cpu"},
+	for _, c := range []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{Kind: "frobnicate"}, "unknown job kind"},
+		{JobSpec{Kind: KindCloud, Provider: "dc1"}, "needs provider"},
+		{JobSpec{Kind: KindCloud}, "needs provider"},
+		{JobSpec{Kind: KindKernelBase, CPU: "no-such-cpu"}, "no CPU preset"},
+		{JobSpec{Kind: KindDefenseEval, Defense: "moat"}, "needs defense flare|fgkaslr|rerand|maskedop"},
+		{JobSpec{Kind: KindDefenseEval, Defense: DefenseFLARE, Function: "tcp_sendmsg"}, "only meaningful for defense fgkaslr"},
+		{JobSpec{Kind: KindDefenseEval, Defense: DefenseFGKASLR, Function: "no_such_function"}, "unknown kernel function"},
+		{JobSpec{Kind: KindDefenseEval, Defense: DefenseMaskedOp, RerandPeriodsSec: []float64{1}}, "only meaningful for defense rerand"},
+		{JobSpec{Kind: KindDefenseEval, Defense: DefenseRerand, RerandPeriodsSec: []float64{1, 0}}, "non-positive rerand period"},
+		{JobSpec{Kind: KindDefenseEval, Defense: DefenseRerand, RerandPeriodsSec: []float64{-2}}, "non-positive rerand period"},
+		{JobSpec{Kind: KindDefenseEval, Defense: DefenseRerand, RerandPeriodsSec: slices.Repeat([]float64{1}, MaxRerandSweepPeriods+1)}, "sweep periods, max"},
+		{JobSpec{Kind: KindBehaviorSpy, Targets: slices.Repeat([]string{"bluetooth"}, core.MaxSpyTargets+1)}, "spy targets, max"},
 	} {
-		if _, err := s.Submit(spec); err == nil {
-			t.Fatalf("spec %+v was accepted", spec)
+		_, err := s.Submit(c.spec)
+		if err == nil {
+			t.Fatalf("spec %+v was accepted", c.spec)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("spec %+v: error %q, want it to contain %q", c.spec, err, c.want)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func directResult(t *testing.T, spec JobSpec) *Result {
 		t.Fatal(err)
 	}
 	if spec.Kind == KindCloud {
-		res, err := executeCloud(spec, core.Options{})
+		res, err := execute(nil, spec, core.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,12 +246,12 @@ func TestCalibrationCacheSkipsCalibrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, reused1, err := cache.acquire(spec)
+	s1, reused1, err := cache.acquire(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second acquire without releasing the first: same key, fresh boot.
-	s2, reused2, err := cache.acquire(spec)
+	s2, reused2, err := cache.acquire(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +268,7 @@ func TestCalibrationCacheSkipsCalibrate(t *testing.T) {
 		s1.p.StoreThreshold.Cycles != s2.p.StoreThreshold.Cycles {
 		t.Fatal("cached-calibration prober thresholds differ")
 	}
-	made, hits, _ := cache.stats()
-	if made != 2 || hits != 1 {
-		t.Fatalf("stats: made=%d calHits=%d, want 2/1", made, hits)
+	if cs := cache.snapshot(); cs.SessionMisses != 2 || cs.CalibrationHits != 1 {
+		t.Fatalf("stats: made=%d calHits=%d, want 2/1", cs.SessionMisses, cs.CalibrationHits)
 	}
 }

@@ -2,17 +2,13 @@ package service
 
 import (
 	"fmt"
-	"math"
-	"strings"
 	"sync"
 
 	"repro/internal/behavior"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/linux"
 	"repro/internal/machine"
-	"repro/internal/paging"
-	"repro/internal/rng"
-	"repro/internal/sgx"
 	"repro/internal/uarch"
 	"repro/internal/userspace"
 	"repro/internal/winkernel"
@@ -96,16 +92,10 @@ func newSessionCache(max int) *sessionCache {
 // acquire returns a session for the spec's victim, reusing an idle one
 // when available and building (boot + calibrate-or-replay) otherwise. The
 // returned flag reports reuse. Callers must release the session after the
-// job.
-func (c *sessionCache) acquire(spec JobSpec) (*session, bool, error) {
-	return c.acquireHook(spec, nil)
-}
-
-// acquireHook is acquire with a fault hook installed for the build phase:
-// boot and calibration faults fire through it on cache misses (cache hits
-// build nothing, so they draw nothing — the documented cache-dependence of
-// the boot/calibrate sites).
-func (c *sessionCache) acquireHook(spec JobSpec, hook func(op string) error) (*session, bool, error) {
+// job. On a cache miss the build draws its boot and calibrate faults from
+// plan (cache hits build nothing, so they draw nothing — the documented
+// cache-dependence of the boot/calibrate sites); nil draws none.
+func (c *sessionCache) acquire(spec JobSpec, plan *fault.Plan) (*session, bool, error) {
 	key := spec.victimKey()
 	c.mu.Lock()
 	if list := c.free[key]; len(list) > 0 {
@@ -122,7 +112,7 @@ func (c *sessionCache) acquireHook(spec JobSpec, hook func(op string) error) (*s
 
 	// Boot outside the lock: victim construction is the expensive part and
 	// concurrent executors must not serialize on it.
-	s, err := buildSessionHook(spec, cal, haveCal, hook)
+	s, err := buildSession(spec, cal, haveCal, plan)
 	if err != nil {
 		return nil, false, err
 	}
@@ -173,14 +163,6 @@ func (c *sessionCache) quarantine(s *session) {
 	c.mu.Unlock()
 }
 
-// stats returns (sessions built, calibrations skipped, sessions
-// quarantined).
-func (c *sessionCache) stats() (made, calHits, quarantined int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.made, c.calHits, c.quarantined
-}
-
 // cacheStats is the full session/calibration-cache effectiveness snapshot:
 // the hit/miss/evict counters the per-instance /metrics series and /stats
 // expose (a session hit reuses a parked session wholesale; a calibration
@@ -201,19 +183,6 @@ type cacheStats struct {
 	Evicted     int
 }
 
-// hitRate returns the combined session+calibration hit rate: the fraction
-// of session acquisitions that avoided a full boot-and-calibrate (reused a
-// session, or booted but replayed a cached calibration). This is the
-// affinity figure of merit: consistent-hash routing keeps one victim's
-// jobs on one instance, so its sessions and calibrations stay hot.
-func (cs cacheStats) hitRate() float64 {
-	total := cs.SessionHits + cs.SessionMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(cs.SessionHits+cs.CalibrationHits) / float64(total)
-}
-
 // snapshot returns the cache's full effectiveness counters.
 func (c *sessionCache) snapshot() cacheStats {
 	c.mu.Lock()
@@ -230,73 +199,29 @@ func (c *sessionCache) snapshot() cacheStats {
 
 // buildSession boots the spec's victim and produces a calibrated prober —
 // via the cached calibration when one is supplied, via core.NewProber
-// otherwise. The construction sequence per victim class is exactly the
-// direct-call recipe (cmd/avxattack, the examples), which is what makes
-// service results bit-identical to direct core calls.
-func buildSession(spec JobSpec, cal core.Calibration, haveCal bool) (*session, error) {
-	return buildSessionHook(spec, cal, haveCal, nil)
-}
-
-// buildSessionHook is buildSession with a fault hook installed on the
-// machine for the build's duration: the boot site fires right after
-// machine construction and the calibrate site inside core.Calibrate. The
-// hook is cleared before the session is returned — parked sessions carry
-// no hook; job attempts install their own.
-func buildSessionHook(spec JobSpec, cal core.Calibration, haveCal bool, hook func(op string) error) (*session, error) {
+// otherwise — then runs a stateful kind's session init. plan is installed
+// on the machine for the build's duration: the boot site fires right
+// after machine construction and the calibrate site inside
+// core.Calibrate. It is cleared before the session is returned — parked
+// sessions carry no plan; job attempts install their own.
+func buildSession(spec JobSpec, cal core.Calibration, haveCal bool, plan *fault.Plan) (*session, error) {
+	def := kindOf(spec.Kind)
+	if def == nil || def.boot == nil {
+		return nil, fmt.Errorf("service: kind %q does not use sessions", spec.Kind)
+	}
 	preset := uarch.ByName(spec.CPU)
 	if preset == nil {
 		return nil, fmt.Errorf("service: no CPU preset matches %q", spec.CPU)
 	}
 	m := machine.New(preset, spec.Seed)
-	if hook != nil {
-		m.FaultHook = hook
-		defer func() { m.FaultHook = nil }()
-		if err := m.Fire("boot"); err != nil {
-			return nil, err
-		}
+	m.Faults = plan
+	defer func() { m.Faults = nil }()
+	if err := m.Fire(fault.Boot); err != nil {
+		return nil, err
 	}
 	v := victim{m: m}
-	switch spec.Kind {
-	case KindKernelBase, KindModules, KindKPTI, KindBehaviorSpy, KindAppFingerprint, KindDefenseEval:
-		k, err := linux.Boot(m, linux.Config{
-			Seed:             spec.Seed,
-			KPTI:             spec.Kind == KindKPTI,
-			FLARE:            spec.FLARE,
-			FGKASLR:          spec.FGKASLR,
-			TrampolineOffset: spec.Trampoline,
-		})
-		if err != nil {
-			return nil, err
-		}
-		v.kernel = k
-	case KindWindows:
-		wk, err := winkernel.Boot(m, winkernel.Config{Seed: spec.Seed, Drivers: spec.Drivers})
-		if err != nil {
-			return nil, err
-		}
-		v.win = wk
-	case KindUserScan:
-		if _, err := linux.Boot(m, linux.Config{Seed: spec.Seed}); err != nil {
-			return nil, err
-		}
-		proc, err := userspace.Build(m, userspace.Config{
-			Seed:           spec.Seed,
-			EntropyBits:    spec.EntropyBits,
-			HideLastRWPage: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		v.proc = proc
-		if spec.SGX {
-			// The enclave stays entered for the session's lifetime; the
-			// checkpoint below captures the in-enclave state.
-			if _, err := sgx.Enter(m, sgx.RDTSC); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		return nil, fmt.Errorf("service: kind %q does not use sessions", spec.Kind)
+	if err := def.boot(&v, spec); err != nil {
+		return nil, err
 	}
 
 	s := &session{key: spec.victimKey(), victim: v}
@@ -315,127 +240,16 @@ func buildSessionHook(spec JobSpec, cal core.Calibration, haveCal bool, hook fun
 		s.p = p
 		s.state = p.Checkpoint()
 	}
-	if spec.Kind == KindBehaviorSpy || spec.Kind == KindAppFingerprint {
-		if err := s.initTemporal(spec); err != nil {
+	if def.initTemporal != nil {
+		// A stateful session locates the watched modules with the module
+		// attack (the reconnaissance a real spy runs once per victim), and
+		// snapshots at timeline position 0 — the state the first window
+		// restores.
+		located := core.Modules(s.p, core.SizeTable(s.kernel.ProcModules()))
+		if err := def.initTemporal(s, spec, located); err != nil {
 			return nil, err
 		}
+		s.state = s.p.Checkpoint()
 	}
 	return s, nil
-}
-
-// activityFor maps a watched module to the §IV-E activity that exercises
-// it, with a generic 30 Hz activity for the other watchable modules
-// (Validate rejects any target outside the uniquely-identifiable set
-// before a job reaches this point, so the default case never fabricates
-// activity for an unknown name).
-func activityFor(module string) behavior.Activity {
-	switch module {
-	case "bluetooth":
-		return behavior.BluetoothAudio()
-	case "psmouse":
-		return behavior.MouseMovement()
-	case "usbhid":
-		return behavior.Keystrokes()
-	default:
-		return behavior.Activity{Name: module, Module: module, PagesTouched: 6, EventHz: 30}
-	}
-}
-
-// spyTimelines derives the spy victim's activity timelines from the spec:
-// one unbounded bursty timeline per watched module, each drawing from its
-// own source split off a spec-seeded parent. Per-timeline sources matter:
-// the timelines extend lazily, so draws from one shared source would
-// depend on which timeline extended first — with a split source each
-// module's whole future is a pure function of (seed, target order), no
-// matter when or in what order windows materialize it. Both the session
-// builder and the parity suite's direct runs construct timelines here, so
-// the ground truth cannot drift between them.
-func spyTimelines(spec JobSpec) []*behavior.Timeline {
-	r := rng.New(spec.Seed ^ 0xbe4a71e5)
-	tls := make([]*behavior.Timeline, 0, len(spec.Targets))
-	for _, name := range spec.Targets {
-		tls = append(tls, behavior.UnboundedTimeline(activityFor(name), 12, 18, r.Split()))
-	}
-	return tls
-}
-
-// initTemporal prepares a stateful temporal session: the watched modules
-// are located with the module attack (the same reconnaissance a real spy
-// runs once per victim), the victim's activity timelines are derived
-// deterministically from the spec seed, and the session snapshot is taken
-// at timeline position 0 — the state the first window restores.
-func (s *session) initTemporal(spec JobSpec) error {
-	located := core.Modules(s.p, core.SizeTable(s.kernel.ProcModules()))
-	switch spec.Kind {
-	case KindBehaviorSpy:
-		targets, err := core.LocateTargets(located, spec.Targets...)
-		if err != nil {
-			return err
-		}
-		// The victim's day: one unbounded bursty timeline per watched
-		// module, a pure function of the victim seed — windows at any
-		// session depth observe real activity, never a truncated horizon.
-		tls := spyTimelines(spec)
-		drv, err := behavior.NewDriver(s.kernel, tls...)
-		if err != nil {
-			return err
-		}
-		drv.SetResolution(spec.TickSec)
-		s.drv, s.truth = drv, tls
-		s.spy = &core.BehaviorSpy{P: s.p, Targets: targets, PagesPerModule: 10, TickSec: spec.TickSec}
-	case KindAppFingerprint:
-		// Watch the union of the profile population's modules — the spy
-		// must see which are active AND which are idle to classify.
-		watch := make(map[string]linux.LoadedModule)
-		var truthProf core.AppProfile
-		for _, prof := range core.StandardAppProfiles() {
-			if prof.Name == spec.App {
-				truthProf = prof
-			}
-			for _, mn := range prof.Modules {
-				name := appModuleName(mn)
-				if _, ok := watch[name]; ok {
-					continue
-				}
-				targets, err := core.LocateTargets(located, name)
-				if err != nil {
-					return err
-				}
-				watch[name] = targets[0]
-			}
-		}
-		// The app's modules stay active for the whole (unbounded) session.
-		drv, err := behavior.NewDriver(s.kernel, core.TimelinesFor(truthProf, math.Inf(1))...)
-		if err != nil {
-			return err
-		}
-		drv.SetResolution(spec.TickSec)
-		s.drv = drv
-		s.fp = &core.AppFingerprinter{
-			P:        s.p,
-			Watch:    watch,
-			Ticks:    spec.Ticks,
-			TickSec:  spec.TickSec,
-			Profiles: core.StandardAppProfiles(),
-		}
-	}
-	// Timeline position 0 with the reconnaissance done: the state the
-	// first window starts from.
-	s.state = s.p.Checkpoint()
-	return nil
-}
-
-// appModuleName strips the "alias:real" profile notation.
-func appModuleName(name string) string {
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		return name[i+1:]
-	}
-	return name
-}
-
-// libWindow returns the §IV-F scan range of the session's process: the
-// library area with the same margins the sgxbreak example and cmd use.
-func (s *session) libWindow() (paging.VirtAddr, paging.VirtAddr) {
-	libs := s.proc.Libs
-	return libs[0].Base - 16*paging.Page4K, libs[len(libs)-1].End() + 8*paging.Page4K
 }

@@ -61,17 +61,17 @@ type Store struct {
 	kindDone    map[Kind]uint64
 	defenseDone map[string]uint64
 	firstSub    time.Time
-	lastDone  time.Time
-	completed int
-	failed    int
-	correct   int
-	rejected  int
-	retries   int
-	shedded   int
-	simSec    float64
-	subs      map[int]chan *Job
-	nextSub   int
-	dropped   int
+	lastDone    time.Time
+	completed   int
+	failed      int
+	correct     int
+	rejected    int
+	retries     int
+	shedded     int
+	simSec      float64
+	subs        map[int]chan *Job
+	nextSub     int
+	dropped     int
 }
 
 // NewStore creates an empty store with the default retention bound.
@@ -173,18 +173,13 @@ func (st *Store) setProvenance(j *Job, reusedSession, reusedCalibration bool) {
 	st.mu.Unlock()
 }
 
-// complete finishes a job (result or error), updates the aggregates and
-// streams the job to subscribers.
-func (st *Store) complete(j *Job, res *Result, err error) {
-	st.completeAttempts(j, res, err, 1)
-}
-
-// completeAttempts is complete with the scheduler's per-job attempt
-// accounting: retried jobs record their attempt count and failed jobs
-// their error class. Single-attempt successes record neither, keeping the
-// zero-fault job JSON (and the parity suites' DeepEqual references)
-// bit-identical to the pre-fault-injection service.
-func (st *Store) completeAttempts(j *Job, res *Result, err error, attempts int) {
+// complete finishes a job (result or error) after the given number of
+// attempts, updates the aggregates and streams the job to subscribers.
+// Retried jobs record their attempt count and failed jobs their error
+// class. Single-attempt successes record neither, keeping the zero-fault
+// job JSON (and the parity suites' DeepEqual references) bit-identical to
+// the pre-fault-injection service.
+func (st *Store) complete(j *Job, res *Result, err error, attempts int) {
 	st.mu.Lock()
 	j.Finished = time.Now()
 	if attempts > 1 {

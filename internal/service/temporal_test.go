@@ -228,7 +228,7 @@ func TestStoreEvictsOldestFinished(t *testing.T) {
 	for id := uint64(2); id <= 6; id++ {
 		j := fakeJob(st, id)
 		st.markRunning(j)
-		st.complete(j, &Result{Correct: true}, nil)
+		st.complete(j, &Result{Correct: true}, nil, 1)
 		finished = append(finished, j)
 	}
 
@@ -265,7 +265,7 @@ func TestStoreTTLEviction(t *testing.T) {
 	st := NewBoundedStore(StoreConfig{MaxJobs: -1, TTL: 1})
 	j := fakeJob(st, 1)
 	st.markRunning(j)
-	st.complete(j, &Result{Correct: true}, nil)
+	st.complete(j, &Result{Correct: true}, nil, 1)
 	q := fakeJob(st, 2) // still queued: immune
 
 	// Any Finished timestamp is already older than a 1 ns TTL by the time
@@ -349,12 +349,12 @@ func TestSnapshotMutateRestoreRerunPerKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, err := execute(sess, spec, opt)
+		first, err := execute(sess, spec, opt, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Kind, err)
 		}
 		churnMachine(sess.m)
-		second, err := execute(sess, spec, opt)
+		second, err := execute(sess, spec, opt, nil)
 		if err != nil {
 			t.Fatalf("%s rerun: %v", spec.Kind, err)
 		}
@@ -381,12 +381,12 @@ func TestSnapshotMutateRestoreRerunPerKind(t *testing.T) {
 			t.Fatal(err)
 		}
 		for w := 0; w < 3; w++ {
-			want, err := execute(clean, spec, opt)
+			want, err := execute(clean, spec, opt, nil)
 			if err != nil {
 				t.Fatalf("%s window %d: %v", spec.Kind, w, err)
 			}
 			churnMachine(churned.m)
-			got, err := execute(churned, spec, opt)
+			got, err := execute(churned, spec, opt, nil)
 			if err != nil {
 				t.Fatalf("%s churned window %d: %v", spec.Kind, w, err)
 			}
@@ -400,7 +400,7 @@ func TestSnapshotMutateRestoreRerunPerKind(t *testing.T) {
 // buildSessionForTest builds a session without the cache (no cached
 // calibration).
 func buildSessionForTest(spec JobSpec) (*session, bool, error) {
-	s, err := buildSession(spec, core.Calibration{}, false)
+	s, err := buildSession(spec, core.Calibration{}, false, nil)
 	return s, false, err
 }
 
