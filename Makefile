@@ -8,8 +8,10 @@
 #                    real goroutine preemption, catching replica-state leaks
 #                    between pooled/concurrent scans and scheduler races.
 #                    The zero-alloc guards run un-raced in make test.
-#   make ci        - what CI runs: vet + tier-1 + test-race + load-smoke +
-#                    bench-compare
+#   make bench-test - vet and test the benchmark module: bench/ is its own
+#                    Go module, so go test ./... does not reach it
+#   make ci        - what CI runs: vet + tier-1 + test-race + bench-test +
+#                    load-smoke + bench-compare
 #   make bench     - vet + tier-1 + race + the scan-engine benchmarks;
 #                    appends the parsed results to BENCH_scan.json so the
 #                    perf trajectory is tracked across PRs
@@ -31,11 +33,11 @@
 
 GO ?= go
 
-.PHONY: all vet test test-race ci bench bench-all bench-compare load load-smoke
+.PHONY: all vet test test-race bench-test ci bench bench-all bench-compare load load-smoke
 
 all: vet test
 
-ci: vet test test-race load-smoke bench-compare
+ci: vet test test-race bench-test load-smoke bench-compare
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +50,9 @@ test:
 # target would silently reuse results from a different P count.
 test-race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./...
+
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench: vet test
 	./scripts/bench.sh 'BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix|BenchmarkExecMasked|BenchmarkProbeMapped|BenchmarkProbeBatch'

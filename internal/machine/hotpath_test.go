@@ -6,6 +6,7 @@ import (
 	"repro/internal/avx"
 	"repro/internal/paging"
 	"repro/internal/perf"
+	"repro/internal/phys"
 	"repro/internal/uarch"
 )
 
@@ -206,5 +207,50 @@ func TestResetTranslationState(t *testing.T) {
 	m.ResetTranslationState()
 	if m.TLB.EntryCount() != 0 || m.PSC.EntryCount() != 0 || m.PTELines.Resident() != 0 {
 		t.Fatal("translation state not fully reset")
+	}
+}
+
+// fillTranslationCaches fills every way of m's TLB levels, paging-structure
+// caches and PTE-line cache, and returns how many entries and lines that
+// took.
+func fillTranslationCaches(m *Machine) (tlbEntries, pscEntries, lines int) {
+	for i := 0; i < 2048; i++ { // consecutive pages cover every TLB set
+		va := paging.VirtAddr(0x7e0000000000 + uint64(i)*paging.Page4K)
+		m.TLB.Fill(va, paging.Walk{VA: va, Mapped: true, Flags: paging.Present | paging.User,
+			Size: paging.Page4K, PFN: phys.PFN(i), TermLevel: paging.LevelPT}, 1)
+	}
+	for i := uint64(0); i < 64; i++ { // distinct tags in every PSC set
+		m.PSC.Fill(paging.VirtAddr(i<<39|i<<30|i<<21), paging.LevelPT, true, 1)
+	}
+	for line := 0; line < m.PTELines.Sets()*m.PTELines.Ways(); line++ {
+		m.PTELines.Touch(phys.PFN(line/64), line%64*8) // eight PTEs per line
+	}
+	return m.TLB.EntryCount(), m.PSC.EntryCount(), m.PTELines.Resident()
+}
+
+// Resetting full caches must leave them empty without allocating. That
+// the reset costs the same on full and on empty caches is shown by
+// BenchmarkResetTranslationState, not asserted here.
+func TestResetTranslationStateOfFullCaches(t *testing.T) {
+	m := New(uarch.AlderLake12400F(), 3)
+	cfg := m.TLB.Config()
+	tlbEntries, pscEntries, lines := fillTranslationCaches(m)
+	if want := cfg.L1.Sets*cfg.L1.Ways + cfg.L2.Sets*cfg.L2.Ways; tlbEntries != want {
+		t.Fatalf("filled TLB holds %d entries, want %d", tlbEntries, want)
+	}
+	if pscEntries != 64 {
+		t.Fatalf("filled PSC holds %d entries, want 64", pscEntries)
+	}
+	if want := m.PTELines.Sets() * m.PTELines.Ways(); lines != want {
+		t.Fatalf("filled PTE-line cache holds %d lines, want %d", lines, want)
+	}
+	m.ResetTranslationState()
+	if m.TLB.EntryCount() != 0 || m.PSC.EntryCount() != 0 || m.PTELines.Resident() != 0 {
+		t.Fatalf("after reset: TLB %d, PSC %d, PTE lines %d, want all 0",
+			m.TLB.EntryCount(), m.PSC.EntryCount(), m.PTELines.Resident())
+	}
+	fillTranslationCaches(m)
+	if n := testing.AllocsPerRun(100, m.ResetTranslationState); n > 0 {
+		t.Errorf("ResetTranslationState: %v allocs/op, want 0", n)
 	}
 }

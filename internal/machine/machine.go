@@ -375,7 +375,9 @@ func (m *Machine) Fire(s fault.Site) error {
 // ResetTranslationState empties the TLB, the paging-structure caches and
 // the PTE-line cache without charging attacker time (a simulator-level
 // reset, not an attack action). The scan engine resets per VA chunk so
-// chunk results are independent of probe order.
+// chunk results are independent of probe order. The reset clears one
+// validity bitmap per cache set, so it costs O(sets), not O(entries), and
+// the same on full and empty caches.
 func (m *Machine) ResetTranslationState() {
 	m.TLB.Flush(false)
 	m.PSC.Flush()

@@ -382,3 +382,41 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// A known modelling quirk, pinned so that any change to it is deliberate:
+// after a store sets D on a page, refreshTLBFlags updates only the L1 DTLB
+// copy of the translation; the STLB copy keeps D=0. Once the L1 copy is
+// evicted, the next store hits the stale STLB entry and pays the dirty
+// assist again, although the page-table entry is already dirty.
+func TestStaleSTLBDirtyAssist(t *testing.T) {
+	m := New(uarch.AlderLake12400F(), 1)
+	const page = paging.VirtAddr(0x7e0000000000)
+	// The page plus four pages that share its L1 DTLB set (16 sets).
+	if err := m.MapUser(page, 65*paging.Page4K, paging.Writable); err != nil {
+		t.Fatal(err)
+	}
+	store := avx.MaskedStore(page, avx.AllMask(8))
+	p := m.Preset
+
+	before := m.Counters.Snapshot()
+	r1 := m.ExecMasked(store)
+	if !r1.Assist || r1.TLBHit || m.Counters.Delta(before)[perf.DirtyAssist] != 1 {
+		t.Fatalf("store to a fresh page: %+v, want a walk and a dirty assist", r1)
+	}
+	if r1.Cycles != 355 { // a cold walk plus the dirty assist
+		t.Fatalf("store to a fresh page: %v cycles, want 355", r1.Cycles)
+	}
+	r2 := m.ExecMasked(store)
+	if r2.Assist || !r2.TLBHit || r2.Cycles != p.MaskedStoreBase {
+		t.Fatalf("second store: %+v, want an L1 hit with no assist (%v cycles)", r2, p.MaskedStoreBase)
+	}
+	for k := 1; k <= 4; k++ {
+		m.ExecMasked(avx.MaskedLoad(page+paging.VirtAddr(16*k*paging.Page4K), avx.ZeroMask))
+	}
+	before = m.Counters.Snapshot()
+	r3 := m.ExecMasked(store)
+	want := p.MaskedStoreBase + p.STLBHitExtra + p.AssistDirty // 13 + 6 + 80 = 99
+	if !r3.Assist || !r3.TLBHit || r3.Cycles != want || m.Counters.Delta(before)[perf.DirtyAssist] != 1 {
+		t.Fatalf("third store: %+v, want an STLB hit that pays the dirty assist again (%v cycles)", r3, want)
+	}
+}

@@ -1,0 +1,98 @@
+package service
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+)
+
+var updateResults = flag.Bool("update-results", false, "rewrite testdata/results.golden from the current code")
+
+// resultLines runs DefaultMix, DefenseMatrix and one windows spec at seeds
+// 1–2 through a Scheduler, twice: the second pass reuses the parked
+// sessions and continues the temporal timelines the first pass advanced.
+// Each job renders as one line holding the SHA-256 of its JSON result (or
+// of its error text).
+func resultLines(t *testing.T) string {
+	t.Helper()
+	type item struct {
+		name string
+		spec JobSpec
+	}
+	var items []item
+	for _, list := range []struct {
+		name  string
+		specs []JobSpec
+	}{
+		{"mix", DefaultMix()},
+		{"defense", DefenseMatrix()},
+		{"windows", []JobSpec{{Kind: KindWindows, CPU: "12400F"}}},
+	} {
+		for i, spec := range list.specs {
+			for _, seed := range []uint64{1, 2} {
+				spec.Seed = seed
+				items = append(items, item{fmt.Sprintf("%s[%d]", list.name, i), spec})
+			}
+		}
+	}
+
+	s := New(Config{Executors: 2, ScanWorkers: 1, QueueDepth: len(items)})
+	defer s.Drain()
+	var b strings.Builder
+	for pass := 1; pass <= 2; pass++ {
+		jobs := make([]*Job, len(items))
+		for i, it := range items {
+			j, err := s.Submit(it.spec)
+			if err != nil {
+				t.Fatalf("%s seed=%d: %v", it.name, it.spec.Seed, err)
+			}
+			jobs[i] = j
+		}
+		for i, j := range jobs {
+			res, err := s.Wait(j)
+			var payload []byte
+			if err != nil {
+				payload = []byte("error: " + err.Error())
+			} else if payload, err = json.Marshal(res); err != nil {
+				t.Fatal(err)
+			}
+			it := items[i]
+			fmt.Fprintf(&b, "%s %s seed=%d pass=%d %x\n",
+				it.name, it.spec.Kind, it.spec.Seed, pass, sha256.Sum256(payload))
+		}
+	}
+	return b.String()
+}
+
+// Job results are a pure function of (victim, session state, spec), so
+// they must not move across commits unless a change means them to.
+// testdata/results.golden pins a hash of every result of the mixed,
+// defense and windows workloads over two passes; the first differing line
+// names the first job that diverges. Regenerate on purpose with
+// go test ./internal/service -run TestResultsGolden -update-results.
+func TestResultsGolden(t *testing.T) {
+	got := resultLines(t)
+	if *updateResults {
+		if err := os.WriteFile("testdata/results.golden", []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile("testdata/results.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs from testdata/results.golden\nwant: %s\ngot:  %s", i+1, wl[i], gl[i])
+			}
+		}
+		t.Fatalf("result listing has %d lines, testdata/results.golden %d", len(gl), len(wl))
+	}
+}

@@ -8,9 +8,18 @@
 // details: the TLB attack (P4) needs eviction and refill to behave like a
 // real set-associative cache, and the page-table-level attack (P3) needs
 // PSCs that cache PML4E/PDPTE/PDE entries but never PT entries.
+//
+// Each cache keeps one validity bitmap per set, one bit per way: a way is
+// valid iff its bit is set. A full flush clears the bitmaps, so it costs
+// O(sets) whatever the caches hold, and lookups, invalidations and
+// snapshots visit only the valid ways, in ascending way order. Slot order
+// breaks LRU ties, picks the free way a fill takes and decides which of two
+// duplicate entries a lookup finds.
 package tlb
 
 import (
+	"math/bits"
+
 	"repro/internal/paging"
 	"repro/internal/phys"
 )
@@ -25,7 +34,6 @@ type Entry struct {
 	asid  uint16
 	flags paging.Flags
 	pfn   phys.PFN
-	valid bool
 	lru   uint64
 }
 
@@ -45,38 +53,47 @@ func (e *Entry) SetFlags(f paging.Flags) { e.flags = f }
 // Config sizes one set-associative translation cache.
 type Config struct {
 	Sets int // number of sets (power of two)
-	Ways int // associativity
+	Ways int // associativity, at most 16
 }
 
 // setAssoc is a generic set-associative LRU cache of translations.
 type setAssoc struct {
-	cfg   Config
-	sets  [][]Entry
-	clock uint64
+	cfg     Config
+	entries []Entry  // set-major: set s is entries[s*Ways : (s+1)*Ways]
+	live    []uint16 // bit w of live[s] is set iff way w of set s is valid
+	full    uint16   // the bitmap of a set with every way valid
+	clock   uint64
 }
 
 func newSetAssoc(cfg Config) *setAssoc {
-	s := &setAssoc{cfg: cfg, sets: make([][]Entry, cfg.Sets)}
-	// One backing array for all sets: the scan engine clones a machine (and
-	// therefore several of these caches) per worker shard.
-	backing := make([]Entry, cfg.Sets*cfg.Ways)
-	for i := range s.sets {
-		s.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+	if cfg.Ways > 16 {
+		panic("tlb: more than 16 ways")
 	}
-	return s
+	return &setAssoc{
+		cfg:     cfg,
+		entries: make([]Entry, cfg.Sets*cfg.Ways),
+		live:    make([]uint16, cfg.Sets),
+		full:    uint16(1<<cfg.Ways - 1),
+	}
 }
 
 func (s *setAssoc) setIndex(vpn uint64) int {
 	return int(vpn) & (s.cfg.Sets - 1)
 }
 
+// set returns the ways of set si.
+func (s *setAssoc) set(si int) []Entry {
+	return s.entries[si*s.cfg.Ways : (si+1)*s.cfg.Ways : (si+1)*s.cfg.Ways]
+}
+
 // lookup returns the entry for (vpn,size,asid) or nil.
 func (s *setAssoc) lookup(vpn uint64, size paging.PageSize, asid uint16, global bool) *Entry {
 	s.clock++
-	set := s.sets[s.setIndex(vpn)]
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.vpn == vpn && e.size == size &&
+	si := s.setIndex(vpn)
+	set := s.set(si)
+	for live := s.live[si]; live != 0; live &= live - 1 {
+		e := &set[bits.TrailingZeros16(live)]
+		if e.vpn == vpn && e.size == size &&
 			(e.asid == asid || global && e.flags.Has(paging.Global)) {
 			e.lru = s.clock
 			return e
@@ -85,35 +102,44 @@ func (s *setAssoc) lookup(vpn uint64, size paging.PageSize, asid uint16, global 
 	return nil
 }
 
-// insert fills (evicting LRU) and returns the victim entry if one was
-// evicted while still valid.
-func (s *setAssoc) insert(e Entry) (victim Entry, evicted bool) {
+// insert copies e into the first free way, or else over the first least
+// recently used one, and reports whether it evicted a valid entry. The
+// evicted entry is copied to victim when victim is non-nil. Both are
+// pointers so that fills whose victim is dropped copy no Entry for it.
+func (s *setAssoc) insert(e, victim *Entry) (evicted bool) {
 	s.clock++
-	e.lru = s.clock
-	set := s.sets[s.setIndex(e.vpn)]
+	si := s.setIndex(e.vpn)
+	set := s.set(si)
 	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			set[i] = e
-			return Entry{}, false
+	if free := ^s.live[si] & s.full; free != 0 {
+		vi = bits.TrailingZeros16(free)
+		s.live[si] |= 1 << vi
+	} else {
+		for i := range set {
+			if set[i].lru < set[vi].lru {
+				vi = i
+			}
 		}
-		if set[i].lru < set[vi].lru {
-			vi = i
+		evicted = true
+		if victim != nil {
+			*victim = set[vi]
 		}
 	}
-	victim = set[vi]
-	set[vi] = e
-	return victim, true
+	set[vi] = *e
+	set[vi].lru = s.clock
+	return evicted
 }
 
 // invalidate removes the entry for (vpn,size) in any ASID; returns whether
 // an entry was removed.
 func (s *setAssoc) invalidate(vpn uint64, size paging.PageSize) bool {
-	set := s.sets[s.setIndex(vpn)]
+	si := s.setIndex(vpn)
+	set := s.set(si)
 	hit := false
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn && set[i].size == size {
-			set[i].valid = false
+	for live := s.live[si]; live != 0; live &= live - 1 {
+		w := bits.TrailingZeros16(live)
+		if set[w].vpn == vpn && set[w].size == size {
+			s.live[si] &^= 1 << w
 			hit = true
 		}
 	}
@@ -123,22 +149,26 @@ func (s *setAssoc) invalidate(vpn uint64, size paging.PageSize) bool {
 // flush removes all entries; if keepGlobal, Global entries survive (MOV CR3
 // without PCID semantics).
 func (s *setAssoc) flush(keepGlobal bool) {
-	for _, set := range s.sets {
-		for i := range set {
-			if keepGlobal && set[i].flags.Has(paging.Global) {
-				continue
-			}
-			set[i].valid = false
-		}
+	if !keepGlobal {
+		clear(s.live)
+		return
 	}
+	s.drop(func(e *Entry) bool { return !e.flags.Has(paging.Global) })
 }
 
 // flushASID removes all non-global entries belonging to one ASID.
 func (s *setAssoc) flushASID(asid uint16) {
-	for _, set := range s.sets {
-		for i := range set {
-			if set[i].valid && set[i].asid == asid && !set[i].flags.Has(paging.Global) {
-				set[i].valid = false
+	s.drop(func(e *Entry) bool { return e.asid == asid && !e.flags.Has(paging.Global) })
+}
+
+// drop invalidates every valid entry that match selects.
+func (s *setAssoc) drop(match func(*Entry) bool) {
+	for si, live := range s.live {
+		set := s.set(si)
+		for ; live != 0; live &= live - 1 {
+			w := bits.TrailingZeros16(live)
+			if match(&set[w]) {
+				s.live[si] &^= 1 << w
 			}
 		}
 	}
@@ -163,11 +193,10 @@ type cacheSnapshot struct {
 // snapshot captures the cache contents.
 func (s *setAssoc) snapshot() cacheSnapshot {
 	snap := cacheSnapshot{clock: s.clock}
-	for si, set := range s.sets {
-		for wi := range set {
-			if set[wi].valid {
-				snap.entries = append(snap.entries, savedEntry{set: si, way: wi, e: set[wi]})
-			}
+	for si, live := range s.live {
+		for ; live != 0; live &= live - 1 {
+			w := bits.TrailingZeros16(live)
+			snap.entries = append(snap.entries, savedEntry{set: si, way: w, e: s.set(si)[w]})
 		}
 	}
 	return snap
@@ -175,22 +204,19 @@ func (s *setAssoc) snapshot() cacheSnapshot {
 
 // restore rewinds the cache to a snapshot taken on a same-geometry cache.
 func (s *setAssoc) restore(snap cacheSnapshot) {
-	s.flush(false)
+	clear(s.live)
 	s.clock = snap.clock
 	for _, se := range snap.entries {
-		s.sets[se.set][se.way] = se.e
+		s.set(se.set)[se.way] = se.e
+		s.live[se.set] |= 1 << se.way
 	}
 }
 
 // count returns the number of valid entries (for tests/diagnostics).
 func (s *setAssoc) count() int {
 	n := 0
-	for _, set := range s.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
-		}
+	for _, live := range s.live {
+		n += bits.OnesCount16(live)
 	}
 	return n
 }
@@ -259,7 +285,7 @@ func (t *TLB) Lookup(va paging.VirtAddr, asid uint16) (LookupResult, *Entry) {
 		vpn := vpnOf(va, size)
 		if e := t.l2.lookup(vpn, size, asid, true); e != nil {
 			// Promote into L1 like a real hierarchy.
-			t.l1.insert(*e)
+			t.l1.insert(e, nil)
 			return HitL2, e
 		}
 	}
@@ -276,12 +302,12 @@ func (t *TLB) Fill(va paging.VirtAddr, w paging.Walk, asid uint16) {
 		asid:  asid,
 		flags: w.Flags,
 		pfn:   w.PFN,
-		valid: true,
 	}
-	if victim, evicted := t.l1.insert(e); evicted {
-		t.l2.insert(victim)
+	var victim Entry
+	if t.l1.insert(&e, &victim) {
+		t.l2.insert(&victim, nil)
 	}
-	t.l2.insert(e)
+	t.l2.insert(&e, nil)
 }
 
 // Invalidate models INVLPG: drops the translation of va at every size.
@@ -393,24 +419,19 @@ func (p *PSC) Lookup(va paging.VirtAddr, asid uint16) (paging.Level, bool) {
 	return paging.LevelNone, false
 }
 
-// Fill caches the interior entries a successful or failed walk read.
-// Only Present interior entries are cached (non-present entries are not
-// cached by hardware), and the leaf-level entry is never inserted.
+// Fill caches the interior entries a successful or failed walk read: those
+// of every interior level strictly above the termination level, which the
+// walk found Present. The entry at the termination level is never cached,
+// whether it is the leaf of a mapped walk or the non-present entry that
+// ended a failed one. Fill inserts without probing, so refilling a cached
+// prefix adds a duplicate entry; lookups find the one in the lowest way.
 func (p *PSC) Fill(va paging.VirtAddr, termLevel paging.Level, mapped bool, asid uint16) {
 	if !p.Enabled {
 		return
 	}
-	// Interior levels the walk traversed with Present entries: every level
-	// strictly above the termination level, plus the termination level
-	// itself only if it is interior and the walk continued past it.
-	deepest := termLevel - 1
-	if mapped {
-		// Leaf at termLevel: interior levels above it were Present.
-		deepest = termLevel - 1
-	}
-	for level := paging.LevelPML4; level <= deepest && level <= paging.LevelPD; level++ {
+	for level := paging.LevelPML4; level < termLevel && level <= paging.LevelPD; level++ {
 		c := p.cacheFor(level)
-		c.insert(Entry{vpn: pscTag(va, level), size: paging.Page4K, asid: asid, valid: true})
+		c.insert(&Entry{vpn: pscTag(va, level), size: paging.Page4K, asid: asid}, nil)
 	}
 }
 
