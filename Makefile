@@ -4,7 +4,7 @@
 #   make test      - tier-1 (go build ./... && go test ./...)
 #   make test-race - the full suite under the race detector with two
 #                    scheduler Ps (GOMAXPROCS=2, -count=1): every parity,
-#                    chaos, cluster and observability suite runs here with
+#                    chaos and observability suite runs here with
 #                    real goroutine preemption, catching replica-state leaks
 #                    between pooled/concurrent scans and scheduler races.
 #                    The zero-alloc guards run un-raced in make test.
@@ -22,10 +22,7 @@
 #                    num_cpu before blaming the code)
 #   make load      - run the scand load generator (mixed attack scenarios
 #                    through the service scheduler) and append a jobs/s +
-#                    p50/p99 latency entry to BENCH_scan.json, then repeat
-#                    through a 4-instance hash-routed cluster on the zipfian
-#                    victim skew (the LoadCluster row: session_hit_rate is
-#                    the affinity metric bench_compare watches)
+#                    p50/p99 latency entry to BENCH_scan.json
 #   make load-smoke - a short scand -load pass (mixed workload incl. the
 #                    stateful behaviorspy/appfingerprint kinds, nothing
 #                    recorded) — the CI smoke that the whole service stack
@@ -65,7 +62,6 @@ bench-compare:
 
 load:
 	$(GO) run ./cmd/scand -load -scan-workers 2
-	$(GO) run ./cmd/scand -load -scan-workers 2 -cluster 4 -load-dist zipfian
 
 load-smoke:
 	$(GO) run ./cmd/scand -load -jobs 30 -concurrency 6 -victims 5 -scan-workers 2 -bench-out ''

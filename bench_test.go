@@ -309,11 +309,11 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
-// benchUserScan drives one §IV-F scan variant over a libc-sized window,
+// benchUserScan drives the fused §IV-F user scan over a libc-sized window,
 // with a session pool so steady-state scans reuse their worker replicas.
 // sim_ms is the simulated attacker runtime per scan (the paper's 51 s +
 // 44 s passes are over 2^28 pages; this window is ~0.5 k pages).
-func benchUserScan(b *testing.B, workers int, scan func(*core.Prober, paging.VirtAddr, paging.VirtAddr) core.UserScanResult) {
+func benchUserScan(b *testing.B, workers int) {
 	m := machine.New(uarch.IceLake1065G7(), 900)
 	if _, err := linux.Boot(m, linux.Config{Seed: 900}); err != nil {
 		b.Fatal(err)
@@ -333,34 +333,21 @@ func benchUserScan(b *testing.B, workers int, scan func(*core.Prober, paging.Vir
 	b.ResetTimer()
 	var simCycles uint64
 	for i := 0; i < b.N; i++ {
-		res := scan(p, lo, hi)
-		simCycles += res.TotalCycles
+		simCycles += core.UserScan(p, lo, hi).TotalCycles
 	}
 	b.ReportMetric(m.Preset.CyclesToSeconds(simCycles/uint64(b.N))*1e3, "sim_ms")
 	b.ReportMetric(float64(pages)*float64(b.N)/b.Elapsed().Seconds(), "probes/s")
 }
 
-// BenchmarkUserScan measures the legacy two-pass §IV-F user scan
-// (masked-load sweep + masked-store classification sweep) — the baseline
-// the fused scan is judged against, kept under its historical name so the
-// BENCH_scan.json trajectory stays comparable across PRs.
-func BenchmarkUserScan(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchUserScan(b, workers, core.UserScanTwoPass)
-		})
-	}
-}
-
 // BenchmarkUserScanFused measures the fused §IV-F user scan (the UserScan
 // default): one engine sweep whose chunks run the load and store probes
-// together. Compare host ms/op and sim_ms against BenchmarkUserScan —
-// fusion halves the sweep setup and lets store warm-ups reuse the load
-// probes' translations.
+// together. Compare host ms/op and sim_ms against internal/core's
+// BenchmarkUserScanTwoPass — fusion halves the sweep setup and lets store
+// warm-ups reuse the load probes' translations.
 func BenchmarkUserScanFused(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchUserScan(b, workers, core.UserScan)
+			benchUserScan(b, workers)
 		})
 	}
 }

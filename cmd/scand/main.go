@@ -53,28 +53,15 @@
 //	GET  /metrics    Prometheus text exposition
 //	POST /drain      graceful drain (finish queued work, refuse new jobs)
 //
-// Cluster mode (-cluster N) shards the daemon into N independent
-// scheduler instances — each with its own queue, executors, scan pool,
-// session/calibration caches, fault injector and metrics plane — behind a
-// consistent-hash router: jobs are placed by victim key (-hash-replicas
-// virtual nodes per instance), so every job against one victim lands on
-// the instance whose caches already hold that victim's session and
-// calibration. The HTTP API is unchanged; /stats returns the cluster
-// rollup plus per-instance rows, /metrics serves instance-labeled series.
-// -route shuffle swaps in the victim-blind shuffled round-robin baseline
-// (the affinity ablation).
-//
 // SIGINT/SIGTERM also drain before exiting. Load-generator mode hammers
 // the scheduler in-process with a scenario workload — -mix mixed (every
 // kind: both vendors, SGX, cloud, both temporal kinds, defense evals) or
 // -mix defense (the vendor × FLARE/FGKASLR/rerand matrix), drawing
 // victims uniformly or from a seeded zipfian skew (-load-dist) — and
-// appends a throughput entry to BENCH_scan.json (LoadMixed for a single
-// scheduler, LoadCluster for -cluster runs):
+// appends a LoadMixed throughput entry to BENCH_scan.json:
 //
 //	scand -load [-mix mixed|defense] [-load-dist uniform|zipfian] [-jobs 256]
-//	      [-concurrency 64] [-victims 16] [-cluster N] [-route hash|shuffle]
-//	      [-bench-out BENCH_scan.json]
+//	      [-concurrency 64] [-victims 16] [-bench-out BENCH_scan.json]
 package main
 
 import (
@@ -116,9 +103,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		faultRate   = fs.Float64("fault-rate", 0, "uniform per-site fault probability in [0,1] (0 = injection off)")
 		traceSample = fs.Int("trace-sample", 0, "record every Nth job's lifecycle trace (1 = every job, 0 = tracing off)")
 		traceBuffer = fs.Int("trace-buffer", 0, "retained traces in the bounded ring (0 = 256)")
-		clusterN    = fs.Int("cluster", 0, "shard into N scheduler instances behind the consistent-hash router (0/1 = single scheduler)")
-		hashReps    = fs.Int("hash-replicas", 0, "cluster: virtual nodes per instance on the hash ring (0 = default)")
-		route       = fs.String("route", "hash", "cluster: routing policy — hash (victim-key affinity) or shuffle (victim-blind baseline)")
 		load        = fs.Bool("load", false, "run the load generator instead of the daemon")
 		jobs        = fs.Int("jobs", 256, "load: total jobs")
 		concurrency = fs.Int("concurrency", 64, "load: concurrent submitters")
@@ -135,7 +119,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	cfg := service.Config{
+	s := service.New(service.Config{
 		Executors:     *executors,
 		QueueDepth:    *queue,
 		ScanWorkers:   *scanWorkers,
@@ -147,34 +131,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		Fault:         service.FaultConfig(*faultSeed, *faultRate),
 		TraceSample:   *traceSample,
 		TraceBuffer:   *traceBuffer,
-	}
-	if *route != service.RouteHash && *route != service.RouteShuffle {
-		fmt.Fprintf(stderr, "scand: unknown -route %q (want hash or shuffle)\n", *route)
-		return 2
-	}
-
-	// One submission/stats surface for both topologies: a -cluster run
-	// builds N schedulers behind the router, otherwise a single scheduler.
-	var (
-		runner  service.Runner
-		handler http.Handler
-		drain   func()
-		stats   func() service.Stats
-	)
-	if *clusterN > 1 {
-		c := service.NewCluster(service.ClusterConfig{
-			Instances:    *clusterN,
-			HashReplicas: *hashReps,
-			Route:        *route,
-			RouteSeed:    *seed,
-			Config:       cfg,
-		})
-		runner, handler, drain = c, service.NewClusterHandler(c), c.Drain
-		stats = func() service.Stats { return c.Stats().Stats }
-	} else {
-		s := service.New(cfg)
-		runner, handler, drain, stats = s, service.NewHandler(s), s.Drain, s.Stats
-	}
+	})
 	if *faultRate > 0 {
 		fmt.Fprintf(stdout, "scand: CHAOS — injecting faults at rate %g per site, seed %d (deterministic)\n", *faultRate, *faultSeed)
 	}
@@ -210,34 +167,28 @@ func run(args []string, stdout, stderr *os.File) int {
 		lc := loadCmd{
 			jobs: *jobs, concurrency: *concurrency, victims: *victims,
 			seed: *seed, mixName: *mix, mix: specs, dist: *loadDist,
-			cluster: *clusterN, route: *route, benchOut: *benchOut,
+			benchOut: *benchOut,
 		}
-		return runLoad(runner, drain, stats, lc, stdout, stderr)
+		return runLoad(s, lc, stdout, stderr)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{Addr: *addr, Handler: service.NewHandler(s)}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
 		fmt.Fprintln(stdout, "scand: draining (finishing queued jobs, refusing new ones)")
-		drain()
+		s.Drain()
 		srv.Close()
 	}()
-	if *clusterN > 1 {
-		eff := runner.(*service.Cluster).Instance(0).Config()
-		fmt.Fprintf(stdout, "scand: serving attack jobs on %s (cluster=%d route=%s executors=%d/instance scan-workers=%d queue=%d/instance pooled=%v)\n",
-			*addr, *clusterN, *route, eff.Executors, eff.ScanWorkers, eff.QueueDepth, !eff.FreshWorkers)
-	} else {
-		eff := runner.(*service.Scheduler).Config()
-		fmt.Fprintf(stdout, "scand: serving attack jobs on %s (executors=%d scan-workers=%d queue=%d pooled=%v)\n",
-			*addr, eff.Executors, eff.ScanWorkers, eff.QueueDepth, !eff.FreshWorkers)
-	}
+	eff := s.Config()
+	fmt.Fprintf(stdout, "scand: serving attack jobs on %s (executors=%d scan-workers=%d queue=%d pooled=%v)\n",
+		*addr, eff.Executors, eff.ScanWorkers, eff.QueueDepth, !eff.FreshWorkers)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintf(stderr, "scand: %v\n", err)
 		return 1
 	}
-	printStats(stdout, stats())
+	printStats(stdout, s.Stats())
 	return 0
 }
 
@@ -247,19 +198,13 @@ type loadCmd struct {
 	seed                       uint64
 	mixName, dist              string
 	mix                        []service.JobSpec
-	cluster                    int
-	route                      string
 	benchOut                   string
 }
 
 // runLoad drives the in-process load generator and records the result.
-func runLoad(s service.Runner, drain func(), stats func() service.Stats, lc loadCmd, stdout, stderr *os.File) int {
-	topo := "single scheduler"
-	if lc.cluster > 1 {
-		topo = fmt.Sprintf("cluster n=%d route=%s", lc.cluster, lc.route)
-	}
-	fmt.Fprintf(stdout, "scand: load run — %d jobs, %d submitters, %d victims (%s), %s scenarios, %s\n",
-		lc.jobs, lc.concurrency, lc.victims, lc.dist, lc.mixName, topo)
+func runLoad(s *service.Scheduler, lc loadCmd, stdout, stderr *os.File) int {
+	fmt.Fprintf(stdout, "scand: load run — %d jobs, %d submitters, %d victims (%s), %s scenarios\n",
+		lc.jobs, lc.concurrency, lc.victims, lc.dist, lc.mixName)
 	rep := service.RunLoad(s, service.LoadConfig{
 		Jobs:        lc.jobs,
 		Concurrency: lc.concurrency,
@@ -268,12 +213,8 @@ func runLoad(s service.Runner, drain func(), stats func() service.Stats, lc load
 		Mix:         lc.mix,
 		Dist:        lc.dist,
 	})
-	drain()
-	rep.Stats = stats()
-	if lc.cluster > 1 {
-		rep.Cluster = lc.cluster
-		rep.Route = lc.route
-	}
+	s.Drain()
+	rep.Stats = s.Stats()
 	printStats(stdout, rep.Stats)
 	if len(rep.KindLatency) > 0 {
 		kinds := make([]string, 0, len(rep.KindLatency))

@@ -160,7 +160,8 @@ func (f *AppFingerprinter) Classify(d *behavior.Driver) (AppProfile, error) {
 // engine — ticks fan out across Options.Workers replicas, each replaying
 // its chunk's driver events privately — and classifies the foreground app
 // by majority vote over the ticks. Output is bit-identical at any worker
-// setting, pooled or fresh, and bit-identical to ClassifyFromSequential.
+// setting, pooled or fresh, and bit-identical to the sequential yardstick
+// loop of the parity suite.
 // Windows compose like the behavior spy's: consecutive calls continue the
 // victim's timeline.
 func (f *AppFingerprinter) ClassifyFrom(d *behavior.Driver, t0 float64) (AppProfile, error) {
@@ -179,27 +180,6 @@ func (f *AppFingerprinter) ClassifyFrom(d *behavior.Driver, t0 float64) (AppProf
 			return &fpWorker{workerBase: workerBase{p: rp}, f: f, d: d, watch: watch, t0: t0}
 		})
 	return f.match(watch, res.Verdicts)
-}
-
-// ClassifySequential is the sequential parity yardstick of Classify.
-func (f *AppFingerprinter) ClassifySequential(d *behavior.Driver) (AppProfile, error) {
-	return f.ClassifyFromSequential(d, 0)
-}
-
-// ClassifyFromSequential is the plain sequential observation loop, kept as
-// the parity yardstick for the engine-based ClassifyFrom (same determinism
-// contract; see BehaviorSpy.RunWindowSequential).
-func (f *AppFingerprinter) ClassifyFromSequential(d *behavior.Driver, t0 float64) (AppProfile, error) {
-	watch, err := f.init()
-	if err != nil {
-		return AppProfile{}, err
-	}
-	d.EnsureHorizon(t0 + float64(f.Ticks)*f.TickSec)
-	masks := make([]uint64, f.Ticks)
-	sequentialTicks(f.P, f.Ticks, func(i int) {
-		masks[i] = f.tick(f.P, d, watch, t0+float64(i)*f.TickSec)
-	})
-	return f.match(watch, masks)
 }
 
 // match tallies the per-tick hot masks — a module counts as active when hot

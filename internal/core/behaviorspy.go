@@ -71,32 +71,6 @@ func windowTicks(t0, t1, tick float64) int {
 	return int(math.Ceil((t1-t0)/tick - 1e-9))
 }
 
-// sequentialTicks runs n tick bodies in order on p's own machine under the
-// engine's exact determinism contract — the same scan-epoch seed
-// derivation, per-chunk noise reseed + translation reset, and canonical
-// post-sweep state that runSweep applies. It is the one place the temporal
-// yardstick loops (BehaviorSpy.RunWindowSequential,
-// AppFingerprinter.ClassifyFromSequential) get their chunk scaffolding
-// from, so the seed contract cannot drift between them and the engine.
-func sequentialTicks(p *Prober, n int, body func(i int)) {
-	p.scanEpoch++
-	seed := p.M.Seed() ^ (p.scanEpoch * 0x9e3779b97f4a7c15)
-	chunk := tickChunk(p)
-	for lo, c := 0, 0; lo < n; lo, c = lo+chunk, c+1 {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		p.M.ReseedNoise(scan.StreamSeed(seed, uint64(c)))
-		p.M.ResetTranslationState()
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	}
-	p.M.ReseedNoise(scan.StreamSeed(seed, scan.PostSweepStream))
-	p.M.ResetTranslationState()
-}
-
 // BehaviorSpy mounts the §IV-E user-behavior inference: a spy process
 // repeats the TLB attack (P4) against the leading pages of target kernel
 // modules at tick intervals. When the victim uses the device (Bluetooth
@@ -210,8 +184,8 @@ func (s *BehaviorSpy) Run(d *behavior.Driver, duration float64) ([]SpyTrace, err
 // engine: ticks become probe indices, chunks of ticks fan out across
 // Options.Workers machine replicas, and each worker replays the driver
 // events of its chunk's window against its replica. Output is bit-identical
-// at any worker setting, pooled or fresh, and bit-identical to
-// RunWindowSequential — the sequential loop kept as the parity yardstick.
+// at any worker setting, pooled or fresh, and bit-identical to the plain
+// sequential tick loop the parity suite keeps as its yardstick.
 //
 // Windows compose: consecutive RunWindow calls on one prober continue the
 // victim's timeline, which is what lets a service session carry spy state
@@ -232,30 +206,6 @@ func (s *BehaviorSpy) RunWindow(d *behavior.Driver, t0, t1 float64) ([]SpyTrace,
 			return &spyWorker{workerBase: workerBase{p: rp}, spy: s, d: d, t0: t0}
 		})
 	return s.assemble(t0, res.Verdicts), nil
-}
-
-// RunSequential is the sequential parity yardstick of Run.
-func (s *BehaviorSpy) RunSequential(d *behavior.Driver, duration float64) ([]SpyTrace, error) {
-	return s.RunWindowSequential(d, 0, duration)
-}
-
-// RunWindowSequential is the plain sequential spy loop, kept as the parity
-// yardstick for the engine-based RunWindow: it walks the ticks in order on
-// the prober's own machine under the engine's exact determinism contract
-// (same per-chunk noise seeds, same canonical tick state, same post-sweep
-// state), so its traces must be bit-identical to RunWindow's at every
-// worker setting for a fixed machine seed.
-func (s *BehaviorSpy) RunWindowSequential(d *behavior.Driver, t0, t1 float64) ([]SpyTrace, error) {
-	if err := s.init(); err != nil {
-		return nil, err
-	}
-	d.EnsureHorizon(t1)
-	n := windowTicks(t0, t1, s.TickSec)
-	obs := make([]tickObs, n)
-	sequentialTicks(s.P, n, func(i int) {
-		obs[i] = s.tick(s.P, d, t0+float64(i)*s.TickSec)
-	})
-	return s.assemble(t0, obs), nil
 }
 
 // assemble splits the merged per-tick observations into per-target traces.

@@ -157,39 +157,6 @@ func (w *mappedWorker) Classify(cycles float64) bool {
 	return w.p.Threshold.Classify(cycles)
 }
 
-// storeWorker probes with the masked-store attack (P5/P6): verdict =
-// writable vs read-only, for pages the load pass already read as mapped.
-type storeWorker struct{ workerBase }
-
-func (w *storeWorker) Probe(va paging.VirtAddr) scan.Sample[PermClass] {
-	pr := w.p.ProbeMappedStore(va)
-	return scan.Sample[PermClass]{Cycles: pr.Cycles, Verdict: storeClass(pr.Fast)}
-}
-
-// ProbeChunk batches the chunk's store probes, then maps the fast flags to
-// permission classes in the verdict window (skipped pages get skipV —
-// PermUnmapped in the user scan).
-func (w *storeWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, skipV PermClass, verdicts []PermClass, cycles []float64) {
-	p := w.p
-	if skip != nil {
-		for i := lo; i < hi; i++ {
-			if skip(i) {
-				verdicts[i-lo] = skipV
-			}
-		}
-	}
-	fast := p.fastWindow(hi - lo)
-	pos := p.probeBatchWindow(true, start, stride, lo, hi, skip, cycles, fast)
-	for _, j := range pos {
-		verdicts[j] = storeClass(fast[j])
-	}
-}
-
-func (w *storeWorker) Classify(cycles float64) PermClass {
-	return storeClass(w.p.StoreThreshold.Classify(cycles))
-}
-
 func storeClass(fast bool) PermClass {
 	if fast {
 		return PermWritable
@@ -459,18 +426,6 @@ func runSweep[V comparable](p *Prober, start paging.VirtAddr, n int, stride uint
 func (p *Prober) scanMapped(start paging.VirtAddr, n int, stride uint64) scan.Result[bool] {
 	return runSweep(p, start, n, stride, 0, 0, nil, false,
 		func(rp *Prober) scan.Worker[bool] { return &mappedWorker{workerBase{p: rp}} })
-}
-
-// scanStoreClasses runs the §IV-F store-classification pass on the engine:
-// every page the load pass read as mapped is probed with the masked-store
-// attack and classified writable vs read-only (including the min-of-3
-// healing re-probe of isolated verdict flips); unmapped pages are skipped
-// outright — no probe, no noise draw — and come back PermUnmapped.
-func (p *Prober) scanStoreClasses(start paging.VirtAddr, mapped []bool) []PermClass {
-	res := runSweep(p, start, len(mapped), paging.Page4K, 0, 0,
-		func(i int) bool { return !mapped[i] }, PermUnmapped,
-		func(rp *Prober) scan.Worker[PermClass] { return &storeWorker{workerBase{p: rp}} })
-	return res.Verdicts
 }
 
 // ScanTermLevel runs the walk-termination-level sweep (P3) over n slots at

@@ -63,20 +63,28 @@ func TestScanMappedParallelParity(t *testing.T) {
 // §IV-F scan variant over its libc window.
 func userScanWith(t *testing.T, seed uint64, opt Options, scan func(*Prober, paging.VirtAddr, paging.VirtAddr) UserScanResult) UserScanResult {
 	t.Helper()
+	p, lo, hi := userScanVictim(t, seed, opt)
+	return scan(p, lo, hi)
+}
+
+// userScanVictim boots the libc-window user-scan victim at seed and returns
+// its calibrated prober and the [lo, hi) window to scan.
+func userScanVictim(tb testing.TB, seed uint64, opt Options) (*Prober, paging.VirtAddr, paging.VirtAddr) {
+	tb.Helper()
 	m := machine.New(uarch.IceLake1065G7(), seed)
 	if _, err := linux.Boot(m, linux.Config{Seed: seed}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	proc, err := userspace.Build(m, userspace.Config{Seed: seed, EntropyBits: 10, HideLastRWPage: true})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	p, err := NewProber(m, opt)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	libc := proc.Libs[0]
-	return scan(p, libc.Base-4*paging.Page4K, libc.End()+8*paging.Page4K)
+	return p, libc.Base - 4*paging.Page4K, libc.End() + 8*paging.Page4K
 }
 
 // userScanResult runs the default (fused) §IV-F scan.

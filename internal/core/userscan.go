@@ -38,9 +38,9 @@ type UserScanResult struct {
 // pages, so the range is walked once, chunk setup is paid once, and the
 // store warm-ups reuse translations the load probes just installed (see
 // fusedWorker). Adjacent same-class pages merge into regions. Output is
-// bit-identical at any Options.Workers setting, pooled or fresh;
-// UserScanTwoPass keeps the serialized two-sweep shape for reference and
-// the fused-vs-two-pass parity suite.
+// bit-identical at any Options.Workers setting, pooled or fresh, and the
+// regions match the serialized two-sweep scan the parity suite keeps as
+// its yardstick.
 func UserScan(p *Prober, start, end paging.VirtAddr) UserScanResult {
 	t0 := p.M.RDTSC()
 	var res UserScanResult
@@ -54,29 +54,6 @@ func UserScan(p *Prober, start, end paging.VirtAddr) UserScanResult {
 	res.StoreCycles = storeSim.Load()
 	res.TotalCycles = p.M.RDTSC() - t0
 	res.Regions = mergeRegions(start, sres.Verdicts)
-	return res
-}
-
-// UserScanTwoPass is the serialized two-sweep §IV-F scan the fused UserScan
-// replaced: a full masked-load sweep, then a masked-store sweep over the
-// pages the load pass read as mapped. Kept as the reference implementation
-// — the fused scan must recover the same regions at a fixed seed (the
-// parity suite enforces it) — and for ablations of the fusion itself.
-func UserScanTwoPass(p *Prober, start, end paging.VirtAddr) UserScanResult {
-	t0 := p.M.RDTSC()
-	var res UserScanResult
-
-	pages := int(uint64(end-start) >> 12)
-	mapped, _ := p.ScanMapped(start, pages, paging.Page4K)
-	t1 := p.M.RDTSC()
-	res.LoadCycles = t1 - t0
-
-	classes := p.scanStoreClasses(start, mapped)
-	t2 := p.M.RDTSC()
-	res.StoreCycles = t2 - t1
-	res.TotalCycles = t2 - t0
-
-	res.Regions = mergeRegions(start, classes)
 	return res
 }
 

@@ -37,6 +37,9 @@ const (
 	// DefaultTrampolineOffset is the KPTI trampoline's constant offset from
 	// the kernel base on the Ubuntu kernels the paper measures (§IV-D).
 	DefaultTrampolineOffset uint64 = 0xc00000
+	// TrampolinePages is how many 4 KiB pages the KPTI trampoline maps
+	// into the user page table, starting at the trampoline offset.
+	TrampolinePages = 3
 	// NoKASLRBase is where the kernel lands with the nokaslr boot flag.
 	NoKASLRBase paging.VirtAddr = 0xffffffff81000000
 )
@@ -184,7 +187,7 @@ func Boot(m *machine.Machine, cfg Config) (*Kernel, error) {
 		k.TrampolineVA = k.Base + paging.VirtAddr(cfg.TrampolineOffset)
 		// The trampoline is a handful of 4 KiB supervisor pages present in
 		// the user table (entry_SYSCALL_64 and friends).
-		for i := 0; i < 3; i++ {
+		for i := 0; i < TrampolinePages; i++ {
 			va := k.TrampolineVA + paging.VirtAddr(i*paging.Page4K)
 			frame := m.Alloc.Alloc()
 			if err := k.userAS.Map(va, paging.Page4K, frame, paging.Writable); err != nil {

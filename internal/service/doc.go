@@ -13,7 +13,6 @@
 //	scan      the sharded, batched sweep engine (internal/scan)
 //	core      calibrated probers + the paper's attacks (internal/core)
 //	service   jobs, sessions, scheduling, stats (this package)
-//	cluster   N schedulers behind the consistent-hash router (Cluster)
 //
 // Three kinds of state are reused across jobs, each with a determinism
 // contract that keeps service output bit-identical to direct core calls:
@@ -76,49 +75,6 @@
 // the same attack mounted with plain core.* calls, which the scheduler's
 // result must match bit for bit. The §V defenses of KindDefenseEval
 // follow the same pattern in defenseTable.
-//
-// # Routing and affinity (cluster mode)
-//
-// Cluster shards the service into N independent Scheduler instances —
-// each with its own bounded queue, executors, scan pool, session and
-// calibration caches, fault injector and metrics plane — behind a
-// consistent-hash router. The contract:
-//
-//   - Placement is by victim key. The router hashes JobSpec.routingKey()
-//     (the normalized victim key that already governs the session and
-//     calibration caches; cloud jobs use a provider/seed twin) onto a
-//     ring of virtual nodes (ClusterConfig.HashReplicas per instance).
-//     All jobs against one victim land on one instance, so session reuse
-//     is structural: the owner's caches stay hot, and a stateful temporal
-//     session's windows stay globally ordered on one scheduler. The
-//     shuffled round-robin policy (RouteShuffle) exists as the measured
-//     baseline this beats.
-//   - Placement never changes results. A job is a pure function of its
-//     spec, so cluster output is bit-identical to the single-scheduler
-//     path — the cluster parity suite pins every kind
-//     at workers 0/1/4 × pooled/fresh, stateful sessions included.
-//     Routing is itself a pure function of the spec (specs are normalized
-//     before hashing, the ring is immutable after construction), so
-//     goroutine interleaving can never move a key.
-//   - Resizes remap a bounded fraction. The ring's virtual nodes keep the
-//     moved key share near 1/N when an instance is added or removed —
-//     never the wholesale reshuffle of a mod-N scheme — so cache warmth
-//     survives capacity changes.
-//   - Job IDs encode ownership. Instance i of N issues IDs i + kN, unique
-//     across the cluster; the router resolves any ID back to its owner in
-//     O(1) as id mod N (waits, snapshots, traces).
-//   - Failure stays per-instance. Admission control, shedding, fault
-//     injection (per-instance seeds split deterministically off the base
-//     seed) and quarantine are all instance-local: one overloaded or
-//     faulty instance degrades its own key range while the rest of the
-//     cluster serves untouched, and identical seeds reproduce identical
-//     per-instance traces.
-//   - One rollup. Cluster.Stats() merges raw counters across instances
-//     and recomputes the rates (latency quantiles via the mergeable
-//     obs.Histogram.AddFrom, jobs/s over the global first-submit →
-//     last-finish span), keeping per-instance rows — queue depth, routed
-//     counts, cache hit/miss/evict — visible; Cluster.Metrics() serves
-//     the same signals as instance-labeled Prometheus series.
 //
 // # Failure semantics
 //

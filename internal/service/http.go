@@ -18,19 +18,10 @@ import (
 // bounded response and re-polls.
 const MaxWaitPoll = 30 * time.Second
 
-// api is the surface the HTTP layer serves. Both *Scheduler and *Cluster
-// implement it, so daemon mode and cluster mode share one handler: same
-// routes, same status codes, same payload shapes — the only difference is
-// what /stats and /metrics aggregate over.
-type api interface {
-	Submit(spec JobSpec) (*Job, error)
-	JobSnapshot(id uint64) (Job, bool)
-	JobDone(id uint64) (<-chan struct{}, bool)
-	Trace(id uint64) (*obs.Trace, bool)
-	Metrics() *obs.Registry
-	statsPayload() any
-	Drain()
-}
+// maxJobSpecBytes bounds how much of a POST /jobs body is read. A JobSpec
+// is a few hundred bytes; a body the decoder must read past this to finish
+// is refused with 413.
+const maxJobSpecBytes = 64 << 10
 
 // NewHandler exposes a scheduler over HTTP — the scand daemon's API:
 //
@@ -50,22 +41,17 @@ type api interface {
 //
 // Rejections map to HTTP backpressure codes: 429 + Retry-After on a full
 // queue or when admission control sheds (ShedWatermark), 503 while
-// draining.
-func NewHandler(s *Scheduler) http.Handler { return newAPIHandler(s) }
-
-// NewClusterHandler serves the same API over a Cluster: submissions are
-// consistent-hash routed to the owning instance, /jobs/{id} and trace
-// lookups follow the id→instance mapping, /stats returns the ClusterStats
-// rollup (merged aggregate + per-instance rows), and /metrics is the
-// instance-labeled cluster registry. Clients cannot tell a cluster from a
-// single scheduler except by reading those richer payloads.
-func NewClusterHandler(c *Cluster) http.Handler { return newAPIHandler(c) }
-
-func newAPIHandler(s api) http.Handler {
+// draining. A body over maxJobSpecBytes is refused with 413.
+func NewHandler(s *Scheduler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes)).Decode(&spec); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				httpError(w, http.StatusRequestEntityTooLarge, "job spec exceeds "+strconv.Itoa(maxJobSpecBytes)+" bytes")
+				return
+			}
 			httpError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 			return
 		}
@@ -98,10 +84,10 @@ func newAPIHandler(s api) http.Handler {
 				httpError(w, http.StatusBadRequest, "bad wait: "+err.Error())
 				return
 			}
-			if done, ok := s.JobDone(id); ok && d > 0 {
+			if j, ok := s.store.Get(id); ok && d > 0 {
 				t := time.NewTimer(d)
 				select {
-				case <-done:
+				case <-j.Done():
 				case <-t.C:
 				case <-r.Context().Done():
 				}
@@ -136,7 +122,7 @@ func newAPIHandler(s api) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"job_id": id, "trace": root})
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.statsPayload())
+		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -115,6 +116,74 @@ func TestHTTPBadRequests(t *testing.T) {
 	if r.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job: status %d", r.StatusCode)
 	}
+}
+
+// oversizeBody is a valid spec behind more whitespace than a POST /jobs
+// body may hold: the decoder must read past the bound to reach it.
+func oversizeBody() []byte {
+	return []byte(strings.Repeat(" ", maxJobSpecBytes) + `{"kind":"kernelbase","seed":1}`)
+}
+
+// A body past maxJobSpecBytes is refused with 413 and never submitted.
+func TestHTTPBodyTooLarge(t *testing.T) {
+	s := New(Config{Executors: 1})
+	defer s.Drain()
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(oversizeBody()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413", resp.StatusCode)
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Fatalf("oversize body reached the scheduler: %+v", st)
+	}
+}
+
+// FuzzSubmitHTTP feeds arbitrary bodies to POST /jobs. Whatever the body,
+// the answer is an accepted job or a client/backpressure error — 202, 400,
+// 413, 429 or 503 — never a panic or a 500. Each input gets its own
+// scheduler, drained before the next, so accepted jobs run to completion.
+func FuzzSubmitHTTP(f *testing.F) {
+	for _, list := range [][]JobSpec{DefaultMix(), DefenseMatrix()} {
+		for _, spec := range list {
+			b, err := json.Marshal(spec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+		}
+	}
+	for _, c := range invalidSpecs {
+		b, err := json.Marshal(c.spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add(oversizeBody())
+	f.Add([]byte(`{"kind":"kpti","trampoline":18446744073709551615}`))
+	f.Add([]byte(`{"kind":"userscan","entropy_bits":99}`))
+	f.Add([]byte(`{"kind":"windows","drivers":-5}`))
+	f.Add([]byte(`{"kind":`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := New(Config{Executors: 1})
+		defer s.Drain()
+		rec := httptest.NewRecorder()
+		NewHandler(s).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("POST /jobs answered %d: %s", rec.Code, rec.Body)
+		}
+	})
 }
 
 func itoa(n int) string {

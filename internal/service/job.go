@@ -111,13 +111,15 @@ type JobSpec struct {
 	// defense rerand; empty = staleness evaluation only).
 	RerandPeriodsSec []float64 `json:"rerand_periods_sec,omitempty"`
 	// Trampoline is the KPTI trampoline offset (kind kpti; 0 = the Ubuntu
-	// default).
+	// default). It must be page-aligned, with the trampoline's pages inside
+	// the kernel image.
 	Trampoline uint64 `json:"trampoline,omitempty"`
 	// Drivers is the Windows driver-image population (kind windows;
-	// 0 = 24, the cmd default).
+	// 0 = 24, the cmd default; negative is rejected).
 	Drivers int `json:"drivers,omitempty"`
 	// EntropyBits scales the user-ASLR entropy (kind userscan; 0 = 12, a
-	// service-friendly window — the paper's 28 bits extrapolate).
+	// service-friendly window — the paper's 28 bits extrapolate). Valid
+	// values are 1 to userspace.EntropyBits (28).
 	EntropyBits int `json:"entropy_bits,omitempty"`
 	// SGX runs the user scan from inside an enclave (kind userscan).
 	SGX bool `json:"sgx,omitempty"`
@@ -209,20 +211,6 @@ func (s JobSpec) victimKey() string {
 		return def.victimKey(s)
 	}
 	return "" // cloud boots inside CloudBreak; no session sharing
-}
-
-// routingKey identifies the victim a job should be co-located with: the
-// victim key for every session-backed kind — so all jobs against one
-// victim land on the instance whose session and calibration caches hold
-// that victim hot, and one victim's temporal windows stay globally ordered
-// on one scheduler — and a provider/seed key for cloud jobs, which carry
-// no session but still deserve a stable placement. Routing never feeds
-// into the result: it only decides *where* a job runs.
-func (s JobSpec) routingKey() string {
-	if key := s.victimKey(); key != "" {
-		return key
-	}
-	return fmt.Sprintf("cloud|%s|seed=%d|maxslot=%d", s.Provider, s.Seed, s.AzureMaxSlot)
 }
 
 // Status is a job's lifecycle state.

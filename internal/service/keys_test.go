@@ -8,8 +8,7 @@ import (
 )
 
 // keyLines renders every key a spec derives — victim key (session and
-// calibration sharing), routing key (cluster placement) and fault key
-// (fault schedule) — for the DefaultMix, DefenseMatrix and parity specs at
+// calibration sharing) and fault key (fault schedule) — for the DefaultMix, DefenseMatrix and parity specs at
 // two seeds, plus the order of Kinds() and Defenses(), which fixes the
 // /metrics exposition order.
 func keyLines(t *testing.T) string {
@@ -36,8 +35,8 @@ func keyLines(t *testing.T) string {
 				if err != nil {
 					t.Fatalf("%s[%d]: %v", list.name, i, err)
 				}
-				fmt.Fprintf(&b, "%s[%d] seed=%d\tvictim=%s\troute=%s\tfault=%#016x\n",
-					list.name, i, seed, norm.victimKey(), norm.routingKey(), norm.faultKey())
+				fmt.Fprintf(&b, "%s[%d] seed=%d\tvictim=%s\tfault=%#016x\n",
+					list.name, i, seed, norm.victimKey(), norm.faultKey())
 			}
 		}
 	}
@@ -45,9 +44,8 @@ func keyLines(t *testing.T) string {
 }
 
 // The keys are a compatibility surface: a changed victim key silently
-// splits or merges session sharing, a changed routing key moves victims
-// between cluster instances, a changed fault key reshuffles every fault
-// schedule. testdata/keys.golden pins all three, so any such change has to
+// splits or merges session sharing, a changed fault key reshuffles every
+// fault schedule. testdata/keys.golden pins both, so any such change has to
 // be made on purpose, by editing the golden file.
 func TestKeysGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/keys.golden")

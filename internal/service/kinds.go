@@ -182,8 +182,19 @@ func runKernelBase(sess *session, _ JobSpec, _ core.Options) (*Result, error) {
 	}, nil
 }
 
+// maxTrampoline is the largest trampoline offset whose pages all lie
+// inside the kernel image's 2 MiB slots.
+const maxTrampoline = linux.ImageSlots*paging.Page2M - linux.TrampolinePages*paging.Page4K
+
+// normalizeKPTI requires a page-aligned trampoline inside the kernel
+// image, so the victim always boots. An offset that is not a 2 MiB slot
+// base still boots; the attack then finds no trampoline, which is a
+// deterministic miss of the attack, not a malformed spec.
 func normalizeKPTI(s *JobSpec) error {
 	s.Trampoline = cmp.Or(s.Trampoline, linux.DefaultTrampolineOffset)
+	if s.Trampoline%paging.Page4K != 0 || s.Trampoline > maxTrampoline {
+		return fmt.Errorf("service: trampoline %#x is not a page-aligned offset in [0, %#x]", s.Trampoline, uint64(maxTrampoline))
+	}
 	return nil
 }
 
@@ -224,6 +235,9 @@ func runModules(sess *session, _ JobSpec, _ core.Options) (*Result, error) {
 
 func normalizeWindows(s *JobSpec) error {
 	s.Drivers = cmp.Or(s.Drivers, 24)
+	if s.Drivers < 0 {
+		return fmt.Errorf("service: negative driver count %d", s.Drivers)
+	}
 	return nil
 }
 
@@ -244,6 +258,9 @@ func runWindows(sess *session, _ JobSpec, _ core.Options) (*Result, error) {
 
 func normalizeUserScan(s *JobSpec) error {
 	s.EntropyBits = cmp.Or(s.EntropyBits, 12)
+	if s.EntropyBits < 1 || s.EntropyBits > userspace.EntropyBits {
+		return fmt.Errorf("service: entropy_bits %d out of range [1, %d]", s.EntropyBits, userspace.EntropyBits)
+	}
 	return nil
 }
 

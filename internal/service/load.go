@@ -15,17 +15,6 @@ import (
 	"repro/internal/rng"
 )
 
-// Runner is the submission surface the load generator drives. Both
-// *Scheduler and *Cluster implement it, so one RunLoad exercises daemon
-// mode and cluster mode identically — the cluster row in BENCH_scan.json
-// is produced by the same harness as the single-scheduler row.
-type Runner interface {
-	Submit(spec JobSpec) (*Job, error)
-	WaitCtx(ctx context.Context, j *Job) (*Result, error)
-	LoadStats() Stats
-	KindLatencies() map[Kind]KindLatency
-}
-
 // Victim-distribution names for LoadConfig.Dist.
 const (
 	// DistUniform cycles the victim pool round-robin (job i → victim
@@ -33,8 +22,8 @@ const (
 	DistUniform = "uniform"
 	// DistZipfian draws victims from a seeded zipf law over the pool
 	// (exponent ≈ 1.07): a few hot victims dominate the run — the skewed
-	// workload real scan traffic looks like, and the one where
-	// victim-key-affinity routing pays.
+	// workload real scan traffic looks like, and the one where the
+	// session cache's idle cap decides the hit rate.
 	DistZipfian = "zipfian"
 )
 
@@ -128,12 +117,7 @@ type LoadReport struct {
 	Jobs        int     `json:"jobs"`
 	Concurrency int     `json:"concurrency"`
 	Dist        string  `json:"dist"`
-	// Cluster and Route describe the runner when it was a Cluster
-	// (instance count and routing policy); zero/empty for a single
-	// scheduler. Set by the caller, recorded in the bench entry.
-	Cluster int     `json:"cluster,omitempty"`
-	Route   string  `json:"route,omitempty"`
-	WallSec float64 `json:"wall_sec"`
+	WallSec     float64 `json:"wall_sec"`
 	Retries     int     `json:"retries"` // backpressure resubmissions (queue full / shed)
 	// SubmitErrors counts submissions the scheduler rejected permanently
 	// (invalid spec); those jobs are skipped, not retried.
@@ -153,7 +137,7 @@ type LoadReport struct {
 // `scand -load` and the race/throughput suite. Queue-full rejections are
 // retried after a short backoff, so the bounded queue is continuously
 // saturated without ever blocking inside Submit.
-func RunLoad(s Runner, cfg LoadConfig) LoadReport {
+func RunLoad(s *Scheduler, cfg LoadConfig) LoadReport {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 64
 	}
@@ -251,7 +235,7 @@ func RunLoad(s Runner, cfg LoadConfig) LoadReport {
 		Retries:      retries,
 		SubmitErrors: subErrors,
 		WaitTimeouts: waitTimeouts,
-		Stats:        s.LoadStats(),
+		Stats:        s.Stats(),
 		KindLatency:  s.KindLatencies(),
 	}
 }
@@ -309,8 +293,7 @@ type benchBenchmark struct {
 	CalReused  int     `json:"calibrations_reused"`
 	// SessionHits / HitRate record cache affinity for the run: HitRate is
 	// (session hits + calibration hits) / session lookups — the metric
-	// the cluster's hash routing is supposed to move and bench_compare
-	// watches for regressions.
+	// bench_compare watches for regressions.
 	SessionHits int     `json:"session_hits"`
 	HitRate     float64 `json:"session_hit_rate"`
 	// Dist records the victim distribution the run drew from.
@@ -320,10 +303,8 @@ type benchBenchmark struct {
 	KindLatencyMs map[string]KindLatency `json:"kind_latency_ms,omitempty"`
 }
 
-// AppendBench appends the load report as one BENCH_scan.json entry.
-// Single-scheduler runs land as LoadMixed; cluster runs land as
-// LoadCluster with the instance count and routing policy in the name, so
-// the trajectory keeps single-box and cluster rows as distinct series.
+// AppendBench appends the load report as one BENCH_scan.json entry, a
+// LoadMixed row named by job count and concurrency.
 func AppendBench(path string, r LoadReport) error {
 	var kindLat map[string]KindLatency
 	if len(r.KindLatency) > 0 {
@@ -332,18 +313,13 @@ func AppendBench(path string, r LoadReport) error {
 			kindLat[string(k)] = v
 		}
 	}
-	name := fmt.Sprintf("LoadMixed/jobs=%d/conc=%d", r.Jobs, r.Concurrency)
-	if r.Cluster > 1 {
-		name = fmt.Sprintf("LoadCluster/jobs=%d/conc=%d/n=%d/route=%s",
-			r.Jobs, r.Concurrency, r.Cluster, r.Route)
-	}
 	e := benchEntry{
 		Date:       time.Now().UTC().Format(time.RFC3339),
 		Pattern:    "scand-load",
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Benchmarks: []benchBenchmark{{
-			Name:          name,
+			Name:          fmt.Sprintf("LoadMixed/jobs=%d/conc=%d", r.Jobs, r.Concurrency),
 			Iterations:    r.Jobs,
 			JobsPerSec:    r.Stats.JobsPerSec,
 			P50Ms:         r.Stats.P50Ms,

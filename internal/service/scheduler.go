@@ -78,16 +78,6 @@ type Config struct {
 	// TraceBuffer bounds the retained-trace ring (0 = obs.DefaultTraceBuffer,
 	// 256). Oldest traces are evicted first.
 	TraceBuffer int
-
-	// idOffset/idStride shape the scheduler's job-ID sequence: IDs are
-	// idOffset + idStride*k for k = 1, 2, ... (zero values mean offset 0,
-	// stride 1 — the plain 1, 2, 3 sequence). Cluster mode gives instance i
-	// of N the sequence (offset=i, stride=N), so IDs are unique across the
-	// whole cluster and the owning instance is recoverable as id mod N —
-	// the router's O(1) id→instance lookup. Package-internal: only
-	// NewCluster sets them.
-	idOffset uint64
-	idStride uint64
 }
 
 // DefaultJobDeadline is the per-attempt watchdog deadline when
@@ -126,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobDeadline == 0 {
 		c.JobDeadline = DefaultJobDeadline
-	}
-	if c.idStride == 0 {
-		c.idStride = 1
 	}
 	return c
 }
@@ -209,7 +196,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 		return nil, err
 	}
 	j := &Job{
-		ID:        s.cfg.idOffset + s.cfg.idStride*s.nextID.Add(1),
+		ID:        s.nextID.Add(1),
 		Spec:      norm,
 		Status:    StatusQueued,
 		Submitted: time.Now(),
@@ -309,33 +296,12 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// LoadStats returns the aggregate the load generator reports from (the
-// Runner surface; the cluster's version merges across instances).
-func (s *Scheduler) LoadStats() Stats { return s.Stats() }
-
-// statsPayload serves Stats on GET /stats.
-func (s *Scheduler) statsPayload() any { return s.Stats() }
-
 // JobSnapshot returns a consistent copy of a retained job's public state.
 func (s *Scheduler) JobSnapshot(id uint64) (Job, bool) { return s.store.Snapshot(id) }
 
-// JobDone returns a retained job's completion channel (already closed if
-// the job has finished).
-func (s *Scheduler) JobDone(id uint64) (<-chan struct{}, bool) {
-	j, ok := s.store.Get(id)
-	if !ok {
-		return nil, false
-	}
-	return j.Done(), true
-}
-
-// KindLatencies returns the per-kind end-to-end latency breakdown (the
-// Runner surface RunLoad reports from).
+// KindLatencies returns the per-kind end-to-end latency breakdown (what
+// RunLoad reports per kind).
 func (s *Scheduler) KindLatencies() map[Kind]KindLatency { return s.store.KindLatencies() }
-
-// QueueDepth reports how many accepted jobs currently wait on the bounded
-// queue (the per-instance load signal the cluster rollup exports).
-func (s *Scheduler) QueueDepth() int { return len(s.queue) }
 
 // executor is one job-running goroutine: it pulls jobs off the queue and
 // runs each through the retry loop. The attempt bodies carry their own

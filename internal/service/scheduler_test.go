@@ -1,12 +1,16 @@
 package service
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/linux"
+	"repro/internal/paging"
+	"repro/internal/userspace"
 )
 
 // cheapMix is a load mix of the fast kinds (for race-detector runs).
@@ -109,29 +113,54 @@ func TestBoundedQueueBackpressure(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	s := New(Config{Executors: 1})
 	defer s.Drain()
-	for _, c := range []struct {
-		spec JobSpec
-		want string
-	}{
-		{JobSpec{Kind: "frobnicate"}, "unknown job kind"},
-		{JobSpec{Kind: KindCloud, Provider: "dc1"}, "needs provider"},
-		{JobSpec{Kind: KindCloud}, "needs provider"},
-		{JobSpec{Kind: KindKernelBase, CPU: "no-such-cpu"}, "no CPU preset"},
-		{JobSpec{Kind: KindDefenseEval, Defense: "moat"}, "needs defense flare|fgkaslr|rerand|maskedop"},
-		{JobSpec{Kind: KindDefenseEval, Defense: DefenseFLARE, Function: "tcp_sendmsg"}, "only meaningful for defense fgkaslr"},
-		{JobSpec{Kind: KindDefenseEval, Defense: DefenseFGKASLR, Function: "no_such_function"}, "unknown kernel function"},
-		{JobSpec{Kind: KindDefenseEval, Defense: DefenseMaskedOp, RerandPeriodsSec: []float64{1}}, "only meaningful for defense rerand"},
-		{JobSpec{Kind: KindDefenseEval, Defense: DefenseRerand, RerandPeriodsSec: []float64{1, 0}}, "non-positive rerand period"},
-		{JobSpec{Kind: KindDefenseEval, Defense: DefenseRerand, RerandPeriodsSec: []float64{-2}}, "non-positive rerand period"},
-		{JobSpec{Kind: KindDefenseEval, Defense: DefenseRerand, RerandPeriodsSec: slices.Repeat([]float64{1}, MaxRerandSweepPeriods+1)}, "sweep periods, max"},
-		{JobSpec{Kind: KindBehaviorSpy, Targets: slices.Repeat([]string{"bluetooth"}, core.MaxSpyTargets+1)}, "spy targets, max"},
-	} {
+	for _, c := range invalidSpecs {
 		_, err := s.Submit(c.spec)
 		if err == nil {
 			t.Fatalf("spec %+v was accepted", c.spec)
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("spec %+v: error %q, want it to contain %q", c.spec, err, c.want)
+		}
+	}
+}
+
+// invalidSpecs are specs Submit must reject, each with a fragment of the
+// error it must give. FuzzSubmitHTTP seeds its corpus from them too.
+var invalidSpecs = []struct {
+	spec JobSpec
+	want string
+}{
+	{JobSpec{Kind: "frobnicate"}, "unknown job kind"},
+	{JobSpec{Kind: KindCloud, Provider: "dc1"}, "needs provider"},
+	{JobSpec{Kind: KindCloud}, "needs provider"},
+	{JobSpec{Kind: KindKernelBase, CPU: "no-such-cpu"}, "no CPU preset"},
+	{JobSpec{Kind: KindDefenseEval, Defense: "moat"}, "needs defense flare|fgkaslr|rerand|maskedop"},
+	{JobSpec{Kind: KindDefenseEval, Defense: DefenseFLARE, Function: "tcp_sendmsg"}, "only meaningful for defense fgkaslr"},
+	{JobSpec{Kind: KindDefenseEval, Defense: DefenseFGKASLR, Function: "no_such_function"}, "unknown kernel function"},
+	{JobSpec{Kind: KindDefenseEval, Defense: DefenseMaskedOp, RerandPeriodsSec: []float64{1}}, "only meaningful for defense rerand"},
+	{JobSpec{Kind: KindDefenseEval, Defense: DefenseRerand, RerandPeriodsSec: []float64{1, 0}}, "non-positive rerand period"},
+	{JobSpec{Kind: KindDefenseEval, Defense: DefenseRerand, RerandPeriodsSec: []float64{-2}}, "non-positive rerand period"},
+	{JobSpec{Kind: KindDefenseEval, Defense: DefenseRerand, RerandPeriodsSec: slices.Repeat([]float64{1}, MaxRerandSweepPeriods+1)}, "sweep periods, max"},
+	{JobSpec{Kind: KindBehaviorSpy, Targets: slices.Repeat([]string{"bluetooth"}, core.MaxSpyTargets+1)}, "spy targets, max"},
+	{JobSpec{Kind: KindKPTI, Trampoline: math.MaxUint64}, "not a page-aligned offset"},
+	{JobSpec{Kind: KindKPTI, Trampoline: linux.DefaultTrampolineOffset + 1}, "not a page-aligned offset"},
+	{JobSpec{Kind: KindKPTI, Trampoline: linux.ImageSlots*paging.Page2M - 2*paging.Page4K}, "not a page-aligned offset"},
+	{JobSpec{Kind: KindUserScan, EntropyBits: -3}, "entropy_bits -3 out of range"},
+	{JobSpec{Kind: KindUserScan, EntropyBits: 99}, "entropy_bits 99 out of range"},
+	{JobSpec{Kind: KindWindows, Drivers: -1}, "negative driver count"},
+}
+
+// The victim-field bounds TestSubmitValidation rejects past are inclusive:
+// the extreme values themselves normalize cleanly.
+func TestSubmitValidationBoundsInclusive(t *testing.T) {
+	for _, spec := range []JobSpec{
+		{Kind: KindKPTI, Trampoline: linux.ImageSlots*paging.Page2M - linux.TrampolinePages*paging.Page4K},
+		{Kind: KindUserScan, EntropyBits: 1},
+		{Kind: KindUserScan, EntropyBits: userspace.EntropyBits},
+		{Kind: KindWindows, Drivers: 1},
+	} {
+		if _, err := spec.normalized(); err != nil {
+			t.Errorf("spec %+v rejected: %v", spec, err)
 		}
 	}
 }

@@ -315,7 +315,7 @@ type Stats struct {
 // CacheHitRate is the combined session+calibration hit rate over all
 // session acquisitions: the fraction of jobs that avoided a full
 // boot-and-calibrate (reused a session, or booted against a cached
-// calibration). The affinity figure of merit the cluster bench records.
+// calibration).
 func (s Stats) CacheHitRate() float64 {
 	total := s.SessionHits + s.Sessions
 	if total == 0 {
@@ -360,38 +360,6 @@ func (st *Store) Stats() Stats {
 	return s
 }
 
-// storeAgg is one store's raw counter snapshot — the mergeable form a
-// cluster rollup sums across instances (Stats derives rates from the
-// already-divided values, which do not add; these do).
-type storeAgg struct {
-	submitted, completed, failed, correct int
-	rejected, retries, shedded, evicted   int
-	dropped, retained                     int
-	simSec                                float64
-	firstSub, lastDone                    time.Time
-}
-
-// aggregate snapshots the store's raw counters for a cluster-wide rollup.
-func (st *Store) aggregate() storeAgg {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return storeAgg{
-		submitted: st.submitted,
-		completed: st.completed,
-		failed:    st.failed,
-		correct:   st.correct,
-		rejected:  st.rejected,
-		retries:   st.retries,
-		shedded:   st.shedded,
-		evicted:   st.evicted,
-		dropped:   st.dropped,
-		retained:  len(st.jobs),
-		simSec:    st.simSec,
-		firstSub:  st.firstSub,
-		lastDone:  st.lastDone,
-	}
-}
-
 // KindLatency is one kind's end-to-end latency summary.
 type KindLatency struct {
 	Jobs  uint64  `json:"jobs"`
@@ -414,11 +382,6 @@ func (st *Store) KindLatencies() map[Kind]KindLatency {
 	}
 	return out
 }
-
-// latencyHistogram exposes the store's all-time latency histogram for
-// registration in the metrics plane (shared ownership: the store keeps
-// observing, the registry reads at scrape time).
-func (st *Store) latencyHistogram() *obs.Histogram { return st.lat }
 
 // kindLatencyHistogram exposes one kind's latency histogram (nil-free:
 // every kind is pre-populated at construction).

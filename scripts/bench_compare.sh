@@ -4,8 +4,8 @@
 # recent PREVIOUS entry recorded on the same host shape (matching num_cpu
 # AND gomaxprocs), per benchmark, and warn when any throughput rate —
 # probes/s (probe benchmarks), jobs/s (service/load benchmarks), ticks/s
-# (temporal benchmarks), or session_hit_rate (the load/cluster cache
-# affinity metric) — dropped by more than 10%.
+# (temporal benchmarks), or session_hit_rate (the load-run cache hit
+# rate) — dropped by more than 10%.
 #
 # Since bench.sh records one entry per GOMAXPROCS level of its scaling
 # matrix, comparing the raw last two entries would diff a multi-core row
@@ -40,10 +40,11 @@ want_gmp="$(jfield "$latest" gomaxprocs)"
 
 # Most recent earlier entry with the same host shape AND at least one
 # benchmark name in common with the latest entry. Name matching matters
-# now that `make load` appends both a LoadMixed and a LoadCluster row per
-# run: the entry adjacent to the latest is usually the *other* row, and
-# diffing disjoint sets would silently compare nothing — each series must
-# find its own predecessor.
+# because the file interleaves series (probe benchmarks, LoadMixed rows,
+# and the LoadCluster rows recorded before cluster mode was removed): the
+# entry adjacent to the latest may belong to another series, and diffing
+# disjoint sets would silently compare nothing — each series must find
+# its own predecessor.
 names_of() { printf '%s\n' "$1" | grep -o '"name":"[^"]*"' | sort -u; }
 latest_names="$(names_of "$latest")"
 prev=""
@@ -73,9 +74,8 @@ function field(s, key,    re, v) {
 }
 # Every rate the trajectory file records: probe benchmarks report
 # probes/s, service and load benchmarks jobs/s, temporal benchmarks
-# ticks/s, and load/cluster entries session_hit_rate (cache affinity —
-# the metric the cluster router exists to raise). Each is compared
-# independently per benchmark name.
+# ticks/s, and load entries session_hit_rate (session and calibration
+# cache reuse). Each is compared independently per benchmark name.
 BEGIN { metrics[1] = "probes/s"; metrics[2] = "jobs/s"; metrics[3] = "ticks/s"; metrics[4] = "session_hit_rate"; nmetrics = 4 }
 {
     line[NR] = $0
