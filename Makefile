@@ -10,31 +10,25 @@
 #                    The zero-alloc guards run un-raced in make test.
 #   make bench-test - vet and test the benchmark module: bench/ is its own
 #                    Go module, so go test ./... does not reach it
+#   make bench-smoke - one short seeded bench/run.sh pass per workload
+#                    declared in BENCHMARK.json, determinism oracle on;
+#                    fails on any failed or inconsistent job
 #   make ci        - what CI runs: vet + tier-1 + test-race + bench-test +
-#                    load-smoke + bench-compare
-#   make bench     - vet + tier-1 + race + the scan-engine benchmarks;
-#                    appends the parsed results to BENCH_scan.json so the
-#                    perf trajectory is tracked across PRs
-#   make bench-all - same, but runs the full benchmark suite (minutes)
-#   make bench-compare - diff the last two BENCH_scan.json entries and warn
-#                    on >10% throughput regressions in probes/s, jobs/s or
-#                    ticks/s (STRICT=1 to fail on one; check the recorded
-#                    num_cpu before blaming the code)
-#   make load      - run the scand load generator (mixed attack scenarios
-#                    through the service scheduler) and append a jobs/s +
-#                    p50/p99 latency entry to BENCH_scan.json
-#   make load-smoke - a short scand -load pass (mixed workload incl. the
-#                    stateful behaviorspy/appfingerprint kinds, nothing
-#                    recorded) — the CI smoke that the whole service stack
-#                    serves every kind end to end
+#                    bench-smoke
+#   make bench     - the Go micro-benchmarks (machine ops, scan sweeps,
+#                    the defense matrix through the scheduler); prints
+#                    the results and records nothing. End-to-end numbers
+#                    come from bench/run.sh (see bench/README.md).
 
 GO ?= go
 
-.PHONY: all vet test test-race bench-test ci bench bench-all bench-compare load load-smoke
+BENCH_WORKLOADS = spatial-hot spatial-cold mixed-zipf temporal-stateful
+
+.PHONY: all vet test test-race bench-test bench-smoke ci bench
 
 all: vet test
 
-ci: vet test test-race bench-test load-smoke bench-compare
+ci: vet test test-race bench-test bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -51,17 +45,10 @@ test-race:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-bench: vet test
-	./scripts/bench.sh 'BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix|BenchmarkExecMasked|BenchmarkProbeMapped|BenchmarkProbeBatch'
+bench-smoke:
+	set -e; for w in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0; \
+	done
 
-bench-all: vet test
-	./scripts/bench.sh '.'
-
-bench-compare:
-	./scripts/bench_compare.sh
-
-load:
-	$(GO) run ./cmd/scand -load -scan-workers 2
-
-load-smoke:
-	$(GO) run ./cmd/scand -load -jobs 30 -concurrency 6 -victims 5 -scan-workers 2 -bench-out ''
+bench:
+	$(GO) test -run '^$$' -bench 'BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix|BenchmarkExecMasked|BenchmarkProbeMapped|BenchmarkProbeBatch' -benchmem . ./internal/service

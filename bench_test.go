@@ -28,7 +28,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/paging"
 	"repro/internal/phys"
-	"repro/internal/service"
 	"repro/internal/uarch"
 	"repro/internal/userspace"
 )
@@ -716,42 +715,6 @@ func BenchmarkAblationRerandPeriod(b *testing.B) {
 	}
 	b.ReportMetric(attackSec*1e6, "attack_us")
 	b.ReportMetric(crossover*1e6, "min_exploitable_period_us")
-}
-
-// BenchmarkDefenseMatrix measures the defense-aware scenario matrix
-// through the service scheduler: one pass submits every vendor × defense
-// evaluation of service.DefenseMatrix (FLARE, FGKASLR, re-randomization +
-// sweeps, masked-op restriction) and waits for all of them. jobs/s is the
-// scheduler-level countermeasure-evaluation throughput; session and
-// calibration reuse across b.N passes is the steady-state the daemon sees.
-func BenchmarkDefenseMatrix(b *testing.B) {
-	s := service.New(service.Config{Executors: 2, ScanWorkers: 2, QueueDepth: 64})
-	defer s.Drain()
-	matrix := service.DefenseMatrix()
-	jobs := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		submitted := make([]*service.Job, 0, len(matrix))
-		for mi, spec := range matrix {
-			spec.Seed = uint64(1 + mi%4)
-			j, err := s.Submit(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			submitted = append(submitted, j)
-		}
-		for _, j := range submitted {
-			res, err := s.Wait(j)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Correct {
-				b.Fatalf("defense %s on %s: incorrect result", j.Spec.Defense, j.Spec.CPU)
-			}
-		}
-		jobs += len(submitted)
-	}
-	b.ReportMetric(float64(jobs)/b.Elapsed().Seconds(), "jobs/s")
 }
 
 // BenchmarkBaselinePrefetch measures the prefetch baseline end to end.

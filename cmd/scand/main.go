@@ -37,9 +37,8 @@
 // GET /jobs/{id}/trace. With -trace-sample 0 the recorder is nil and the
 // instrumented path costs one nil check per stage.
 //
-// -pprof serves net/http/pprof on a side listener (works in both daemon and
-// load mode), so CPU/heap profiles of a live daemon never share a port with
-// the job API.
+// -pprof serves net/http/pprof on a side listener, so CPU/heap profiles of
+// a live daemon never share a port with the job API.
 //
 //	POST /jobs       {"kind":"kernelbase","cpu":"12400F","seed":7}  → {"id":1}
 //	POST /jobs       {"kind":"behaviorspy","seed":7,"duration_sec":20}
@@ -53,15 +52,8 @@
 //	GET  /metrics    Prometheus text exposition
 //	POST /drain      graceful drain (finish queued work, refuse new jobs)
 //
-// SIGINT/SIGTERM also drain before exiting. Load-generator mode hammers
-// the scheduler in-process with a scenario workload — -mix mixed (every
-// kind: both vendors, SGX, cloud, both temporal kinds, defense evals) or
-// -mix defense (the vendor × FLARE/FGKASLR/rerand matrix), drawing
-// victims uniformly or from a seeded zipfian skew (-load-dist) — and
-// appends a LoadMixed throughput entry to BENCH_scan.json:
-//
-//	scand -load [-mix mixed|defense] [-load-dist uniform|zipfian] [-jobs 256]
-//	      [-concurrency 64] [-victims 16] [-bench-out BENCH_scan.json]
+// SIGINT/SIGTERM also drain before exiting, and the exit summary prints
+// the final stats.
 package main
 
 import (
@@ -72,7 +64,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 
 	"repro/internal/service"
@@ -82,8 +73,8 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run parses flags and starts the daemon or the load generator; split from
-// main for tests.
+// run parses flags and serves the daemon until it drains; split from main
+// for tests.
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("scand", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -103,14 +94,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		faultRate   = fs.Float64("fault-rate", 0, "uniform per-site fault probability in [0,1] (0 = injection off)")
 		traceSample = fs.Int("trace-sample", 0, "record every Nth job's lifecycle trace (1 = every job, 0 = tracing off)")
 		traceBuffer = fs.Int("trace-buffer", 0, "retained traces in the bounded ring (0 = 256)")
-		load        = fs.Bool("load", false, "run the load generator instead of the daemon")
-		jobs        = fs.Int("jobs", 256, "load: total jobs")
-		concurrency = fs.Int("concurrency", 64, "load: concurrent submitters")
-		victims     = fs.Int("victims", 16, "load: victim pool size (repeat-scan ratio)")
-		seed        = fs.Uint64("seed", 1, "load: base victim seed")
-		mix         = fs.String("mix", "mixed", "load: scenario rotation — mixed (every kind incl. defense evals) or defense (the vendor × defense matrix)")
-		loadDist    = fs.String("load-dist", "uniform", "load: victim distribution — uniform (round-robin pool) or zipfian (seeded skew, a few hot victims)")
-		benchOut    = fs.String("bench-out", "BENCH_scan.json", "load: benchmark trajectory file (empty = don't record)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -139,37 +122,13 @@ func run(args []string, stdout, stderr *os.File) int {
 	if *pprofAddr != "" {
 		// The blank net/http/pprof import registers its handlers on the
 		// default mux; serve that mux on a side listener so profiles never
-		// share a port with the job API (daemon mode) and are reachable
-		// while the load generator hammers the scheduler (load mode).
+		// share a port with the job API.
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(stderr, "scand: pprof listener: %v\n", err)
 			}
 		}()
 		fmt.Fprintf(stdout, "scand: pprof on http://%s/debug/pprof/\n", *pprofAddr)
-	}
-
-	if *load {
-		var specs []service.JobSpec
-		switch *mix {
-		case "mixed":
-			// nil = the generator's DefaultMix
-		case "defense":
-			specs = service.DefenseMatrix()
-		default:
-			fmt.Fprintf(stderr, "scand: unknown -mix %q (want mixed or defense)\n", *mix)
-			return 2
-		}
-		if *loadDist != service.DistUniform && *loadDist != service.DistZipfian {
-			fmt.Fprintf(stderr, "scand: unknown -load-dist %q (want uniform or zipfian)\n", *loadDist)
-			return 2
-		}
-		lc := loadCmd{
-			jobs: *jobs, concurrency: *concurrency, victims: *victims,
-			seed: *seed, mixName: *mix, mix: specs, dist: *loadDist,
-			benchOut: *benchOut,
-		}
-		return runLoad(s, lc, stdout, stderr)
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: service.NewHandler(s)}
@@ -192,60 +151,10 @@ func run(args []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// loadCmd carries the load generator's flag bundle into runLoad.
-type loadCmd struct {
-	jobs, concurrency, victims int
-	seed                       uint64
-	mixName, dist              string
-	mix                        []service.JobSpec
-	benchOut                   string
-}
-
-// runLoad drives the in-process load generator and records the result.
-func runLoad(s *service.Scheduler, lc loadCmd, stdout, stderr *os.File) int {
-	fmt.Fprintf(stdout, "scand: load run — %d jobs, %d submitters, %d victims (%s), %s scenarios\n",
-		lc.jobs, lc.concurrency, lc.victims, lc.dist, lc.mixName)
-	rep := service.RunLoad(s, service.LoadConfig{
-		Jobs:        lc.jobs,
-		Concurrency: lc.concurrency,
-		Victims:     lc.victims,
-		Seed:        lc.seed,
-		Mix:         lc.mix,
-		Dist:        lc.dist,
-	})
-	s.Drain()
-	rep.Stats = s.Stats()
-	printStats(stdout, rep.Stats)
-	if len(rep.KindLatency) > 0 {
-		kinds := make([]string, 0, len(rep.KindLatency))
-		for k := range rep.KindLatency {
-			kinds = append(kinds, string(k))
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			kl := rep.KindLatency[service.Kind(k)]
-			fmt.Fprintf(stdout, "  %-16s %4d jobs, p50 %.2f ms, p99 %.2f ms\n", k, kl.Jobs, kl.P50Ms, kl.P99Ms)
-		}
-	}
-	fmt.Fprintf(stdout, "wall %.2fs, %d queue-full retries\n", rep.WallSec, rep.Retries)
-	if rep.Stats.Failed > 0 {
-		fmt.Fprintf(stderr, "scand: %d jobs failed\n", rep.Stats.Failed)
-		return 1
-	}
-	if lc.benchOut != "" {
-		if err := service.AppendBench(lc.benchOut, rep); err != nil {
-			fmt.Fprintf(stderr, "scand: recording benchmark: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "recorded load entry in %s\n", lc.benchOut)
-	}
-	return 0
-}
-
 func printStats(out *os.File, st service.Stats) {
 	fmt.Fprintf(out, "jobs: %d submitted, %d done, %d failed, %d rejected; success %.2f%%\n",
 		st.Submitted, st.Completed, st.Failed, st.Rejected, 100*st.SuccessRate)
-	fmt.Fprintf(out, "throughput: %.1f jobs/s; latency p50 %.2f ms, p99 %.2f ms; simulated attacker time %.3f s\n",
+	fmt.Fprintf(out, "throughput: %.1f jobs/s; latency p50 <= %.2f ms, p99 <= %.2f ms (log-bucket upper bounds, within ~12.5%%); simulated attacker time %.3f s\n",
 		st.JobsPerSec, st.P50Ms, st.P99Ms, st.SimAttackerSec)
 	fmt.Fprintf(out, "reuse: %d session hits / %d boots, %d calibrations skipped (hit rate %.1f%%), %d pooled scan replicas\n",
 		st.SessionHits, st.Sessions, st.CalibrationsReused, 100*st.CacheHitRate(), st.PoolReplicas)

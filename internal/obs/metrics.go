@@ -48,8 +48,7 @@ const (
 
 // Histogram is a fixed-bucket log-scale histogram of non-negative integer
 // samples (by convention nanoseconds). Observation is one atomic add;
-// quantiles and merges walk the fixed bucket array. The zero value is
-// ready to use, and a Histogram is mergeable across recorders (AddFrom).
+// quantiles walk the fixed bucket array. The zero value is ready to use.
 type Histogram struct {
 	counts [numBuckets]atomic.Uint64
 	sum    atomic.Uint64
@@ -126,19 +125,6 @@ func (h *Histogram) Quantile(q float64) uint64 {
 		}
 	}
 	return bucketUpper(numBuckets - 1)
-}
-
-// AddFrom merges src's samples into h (both may keep recording; the merge
-// is per-bucket atomic, so concurrent observations are never lost, though
-// a merge concurrent with writes sees a bucket-consistent, not
-// point-in-time, snapshot).
-func (h *Histogram) AddFrom(src *Histogram) {
-	for i := range h.counts {
-		if n := src.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.sum.Add(src.sum.Load())
 }
 
 // Labels is an ordered label set attached to one metric series.

@@ -71,22 +71,6 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramAddFrom(t *testing.T) {
-	var a, b, merged Histogram
-	for i := uint64(1); i <= 1000; i++ {
-		a.Observe(i * 1000)
-		b.Observe(i * 7000)
-	}
-	merged.AddFrom(&a)
-	merged.AddFrom(&b)
-	if merged.Count() != a.Count()+b.Count() {
-		t.Fatalf("merged count %d != %d + %d", merged.Count(), a.Count(), b.Count())
-	}
-	if merged.Sum() != a.Sum()+b.Sum() {
-		t.Fatalf("merged sum %d != %d + %d", merged.Sum(), a.Sum(), b.Sum())
-	}
-}
-
 func TestHistogramConcurrentObserve(t *testing.T) {
 	var h Histogram
 	const workers, per = 8, 5000

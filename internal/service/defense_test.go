@@ -334,3 +334,64 @@ func TestSpySessionPastOldHorizon(t *testing.T) {
 		t.Fatalf("spy lost the victim past the old horizon: accuracy %v", last.Accuracy)
 	}
 }
+
+// DefenseMatrix is the vendor × defense scenario fan-out: every §V
+// countermeasure evaluated on every preset whose probe semantics support
+// the evaluation's attacks. FLARE and FGKASLR rest on the Intel TLB-probe
+// path (P4); AMD parts take the re-randomization row, whose base recovery
+// uses the P3 term-level sweep. Seeds are assigned per submission, like
+// DefaultMix.
+func DefenseMatrix() []JobSpec {
+	var specs []JobSpec
+	for _, cpu := range []string{"12400F", "1065G7", "9900"} {
+		specs = append(specs,
+			JobSpec{Kind: KindDefenseEval, CPU: cpu, Defense: DefenseFLARE},
+			JobSpec{Kind: KindDefenseEval, CPU: cpu, Defense: DefenseFGKASLR},
+			JobSpec{Kind: KindDefenseEval, CPU: cpu, Defense: DefenseRerand},
+		)
+	}
+	specs = append(specs,
+		JobSpec{Kind: KindDefenseEval, CPU: "5600X", Defense: DefenseRerand,
+			RerandPeriodsSec: []float64{0.0001, 0.001, 0.01, 0.1, 1}},
+		JobSpec{Kind: KindDefenseEval, CPU: "12400F", Defense: DefenseRerand,
+			RerandPeriodsSec: []float64{0.0001, 0.001, 0.01, 0.1, 1}},
+		JobSpec{Kind: KindDefenseEval, Defense: DefenseMaskedOp},
+	)
+	return specs
+}
+
+// BenchmarkDefenseMatrix measures the defense-aware scenario matrix
+// through the service scheduler: one pass submits every vendor × defense
+// evaluation of DefenseMatrix (FLARE, FGKASLR, re-randomization +
+// sweeps, masked-op restriction) and waits for all of them. jobs/s is the
+// scheduler-level countermeasure-evaluation throughput; session and
+// calibration reuse across b.N passes is the steady-state the daemon sees.
+func BenchmarkDefenseMatrix(b *testing.B) {
+	s := New(Config{Executors: 2, ScanWorkers: 2, QueueDepth: 64})
+	defer s.Drain()
+	matrix := DefenseMatrix()
+	jobs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submitted := make([]*Job, 0, len(matrix))
+		for mi, spec := range matrix {
+			spec.Seed = uint64(1 + mi%4)
+			j, err := s.Submit(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			submitted = append(submitted, j)
+		}
+		for _, j := range submitted {
+			res, err := s.Wait(j)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Correct {
+				b.Fatalf("defense %s on %s: incorrect result", j.Spec.Defense, j.Spec.CPU)
+			}
+		}
+		jobs += len(submitted)
+	}
+	b.ReportMetric(float64(jobs)/b.Elapsed().Seconds(), "jobs/s")
+}

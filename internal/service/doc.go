@@ -127,8 +127,8 @@
 // aggregates live in counters and fixed-bucket histograms (internal/obs)
 // that survive eviction, so a long-lived scand serves unbounded traffic in
 // bounded memory with O(buckets) stats scrapes. cmd/scand exposes the
-// scheduler over HTTP and doubles as the load generator that records
-// sustained-throughput entries in BENCH_scan.json.
+// scheduler over HTTP; the bench module (bench/run.sh) puts sustained
+// traffic through it in-process.
 //
 // # Observability contract
 //

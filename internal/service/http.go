@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -139,7 +140,9 @@ func NewHandler(s *Scheduler) http.Handler {
 }
 
 // parseWait parses the ?wait= value — a Go duration ("500ms", "2s") or a
-// plain number of seconds — clamped to [0, MaxWaitPoll].
+// plain number of seconds — clamped to [0, MaxWaitPoll]. Seconds are
+// clamped before the conversion, so a huge or infinite value cannot
+// overflow time.Duration into a negative wait; NaN is an error.
 func parseWait(s string) (time.Duration, error) {
 	d, err := time.ParseDuration(s)
 	if err != nil {
@@ -147,15 +150,12 @@ func parseWait(s string) (time.Duration, error) {
 		if err2 != nil {
 			return 0, err
 		}
-		d = time.Duration(secs * float64(time.Second))
+		if math.IsNaN(secs) {
+			return 0, errors.New("wait is NaN")
+		}
+		d = time.Duration(max(0, min(secs, MaxWaitPoll.Seconds())) * float64(time.Second))
 	}
-	if d < 0 {
-		d = 0
-	}
-	if d > MaxWaitPoll {
-		d = MaxWaitPoll
-	}
-	return d, nil
+	return max(0, min(d, MaxWaitPoll)), nil
 }
 
 // timelineRows flattens a span tree depth-first into the ASCII timeline's

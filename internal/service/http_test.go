@@ -98,6 +98,31 @@ func TestHTTPSubmitPollDrain(t *testing.T) {
 	}
 }
 
+// parseWait clamps every wait into [0, MaxWaitPoll] — plain seconds too
+// large for time.Duration included — and rejects NaN and junk.
+func TestParseWait(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    time.Duration
+		wantErr bool
+	}{
+		{in: "5", want: 5 * time.Second},
+		{in: "1e9", want: MaxWaitPoll},
+		{in: "1e10", want: MaxWaitPoll},
+		{in: "Inf", want: MaxWaitPoll},
+		{in: "-Inf", want: 0},
+		{in: "NaN", wantErr: true},
+		{in: "-3", want: 0},
+		{in: "500ms", want: 500 * time.Millisecond},
+		{in: "bogus", wantErr: true},
+	} {
+		got, err := parseWait(tc.in)
+		if (err != nil) != tc.wantErr || got != tc.want {
+			t.Errorf("parseWait(%q) = %v, %v; want %v, error %v", tc.in, got, err, tc.want, tc.wantErr)
+		}
+	}
+}
+
 // Bad requests map to 400/404.
 func TestHTTPBadRequests(t *testing.T) {
 	s := New(Config{Executors: 1})

@@ -101,6 +101,34 @@ func defenseOf(name string) *defenseDef {
 	return &defenseTable[i]
 }
 
+// DefaultMix is the standard mixed-scenario workload: every attack family,
+// both vendors, bare metal and SGX — the scenario-diversity axis the
+// service layer exists to multiplex. The specs carry no seed; callers
+// assign one per submission, so a run sweeps victims, not just repeats one.
+func DefaultMix() []JobSpec {
+	return []JobSpec{
+		{Kind: KindKernelBase, CPU: "12400F"},
+		{Kind: KindKernelBase, CPU: "5600X"}, // AMD term-level sweep
+		{Kind: KindKPTI, CPU: "12400F"},
+		{Kind: KindModules, CPU: "1065G7"},
+		{Kind: KindUserScan, CPU: "1065G7"},
+		{Kind: KindUserScan, CPU: "1065G7", SGX: true},
+		{Kind: KindKernelBase, CPU: "9900"}, // Coffee Lake victim
+		{Kind: KindCloud, Provider: "gce"},
+		// Temporal kinds: stateful sessions whose victim timeline advances
+		// one window per job (repeat seeds continue the same timeline).
+		{Kind: KindBehaviorSpy, CPU: "1065G7", DurationSec: 10},
+		{Kind: KindAppFingerprint, CPU: "1065G7", App: "fps-game"},
+		// Defense evaluations: countermeasure scenarios as first-class jobs
+		// (the rerand entry shares its undefended boot with kernelbase jobs
+		// of the same CPU/seed; flare and fgkaslr boot defended victims
+		// with their own sessions and calibrations).
+		{Kind: KindDefenseEval, CPU: "12400F", Defense: DefenseFLARE},
+		{Kind: KindDefenseEval, CPU: "12400F", Defense: DefenseFGKASLR},
+		{Kind: KindDefenseEval, CPU: "1065G7", Defense: DefenseRerand, RerandPeriodsSec: []float64{0.0001, 0.01, 1}},
+	}
+}
+
 // The victim keys; see JobSpec.victimKey for what a key must pin.
 
 func linuxKey(s JobSpec) string {

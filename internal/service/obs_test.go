@@ -330,7 +330,8 @@ func TestStoreStatsConcurrentWithTTLChurn(t *testing.T) {
 	}
 }
 
-// The per-kind breakdown separates populations the aggregate blends.
+// The per-kind latency histograms /metrics exports separate populations
+// the aggregate blends.
 func TestKindLatencies(t *testing.T) {
 	st := NewStore()
 	for id := uint64(1); id <= 20; id++ {
@@ -343,20 +344,19 @@ func TestKindLatencies(t *testing.T) {
 			completeTimed(st, j, 200*time.Millisecond)
 		}
 	}
-	kl := st.KindLatencies()
-	kb, ok1 := kl[KindKernelBase]
-	cl, ok2 := kl[KindCloud]
-	if !ok1 || !ok2 {
-		t.Fatalf("missing kinds in breakdown: %+v", kl)
+	kb, cl := st.kindLatencyHistogram(KindKernelBase), st.kindLatencyHistogram(KindCloud)
+	if kb == nil || cl == nil {
+		t.Fatal("missing per-kind histogram")
 	}
-	if kb.Jobs != 10 || cl.Jobs != 10 {
-		t.Fatalf("per-kind counts: %+v", kl)
+	if kb.Count() != 10 || cl.Count() != 10 {
+		t.Fatalf("per-kind counts: kernelbase %d, cloud %d", kb.Count(), cl.Count())
 	}
-	if kb.P50Ms < 10 || kb.P50Ms > 12 || cl.P50Ms < 200 || cl.P50Ms > 230 {
-		t.Fatalf("per-kind quantiles blended: kernelbase %+v cloud %+v", kb, cl)
+	kbP50, clP50 := float64(kb.Quantile(0.50))/1e6, float64(cl.Quantile(0.50))/1e6
+	if kbP50 < 10 || kbP50 > 12 || clP50 < 200 || clP50 > 230 {
+		t.Fatalf("per-kind quantiles blended: kernelbase p50 %.2f ms, cloud p50 %.2f ms", kbP50, clP50)
 	}
-	if _, ok := kl[KindWindows]; ok {
-		t.Fatal("kind with no jobs must not appear")
+	if n := st.kindLatencyHistogram(KindWindows).Count(); n != 0 {
+		t.Fatalf("kind with no jobs recorded %d samples", n)
 	}
 }
 

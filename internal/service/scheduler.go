@@ -299,10 +299,6 @@ func (s *Scheduler) Stats() Stats {
 // JobSnapshot returns a consistent copy of a retained job's public state.
 func (s *Scheduler) JobSnapshot(id uint64) (Job, bool) { return s.store.Snapshot(id) }
 
-// KindLatencies returns the per-kind end-to-end latency breakdown (what
-// RunLoad reports per kind).
-func (s *Scheduler) KindLatencies() map[Kind]KindLatency { return s.store.KindLatencies() }
-
 // executor is one job-running goroutine: it pulls jobs off the queue and
 // runs each through the retry loop. The attempt bodies carry their own
 // panic isolation, so an executor survives anything a job throws.

@@ -276,7 +276,10 @@ type Stats struct {
 	// JobsPerSec is finished jobs over the first-submit → last-finish wall
 	// span.
 	JobsPerSec float64 `json:"jobs_per_sec"`
-	// P50Ms / P99Ms are end-to-end (queue + run) host latency quantiles.
+	// P50Ms / P99Ms are end-to-end (queue + run) host latency quantiles,
+	// read from a log-bucket histogram: each is the upper bound of the
+	// bucket holding that rank, within about 12.5% above the exact
+	// percentile, not the percentile itself.
 	P50Ms float64 `json:"p50_ms"`
 	P99Ms float64 `json:"p99_ms"`
 	// SimAttackerSec totals the jobs' simulated attacker time: the cost the
@@ -358,29 +361,6 @@ func (st *Store) Stats() Stats {
 	s.P50Ms = float64(st.lat.Quantile(0.50)) / 1e6
 	s.P99Ms = float64(st.lat.Quantile(0.99)) / 1e6
 	return s
-}
-
-// KindLatency is one kind's end-to-end latency summary.
-type KindLatency struct {
-	Jobs  uint64  `json:"jobs"`
-	P50Ms float64 `json:"p50_ms"`
-	P99Ms float64 `json:"p99_ms"`
-}
-
-// KindLatencies returns the per-kind latency breakdown for every kind that
-// finished at least one job (the `scand -load` report's per-kind rows).
-func (st *Store) KindLatencies() map[Kind]KindLatency {
-	out := make(map[Kind]KindLatency)
-	for k, h := range st.kindLat {
-		if n := h.Count(); n > 0 {
-			out[k] = KindLatency{
-				Jobs:  n,
-				P50Ms: float64(h.Quantile(0.50)) / 1e6,
-				P99Ms: float64(h.Quantile(0.99)) / 1e6,
-			}
-		}
-	}
-	return out
 }
 
 // kindLatencyHistogram exposes one kind's latency histogram (nil-free:

@@ -179,8 +179,8 @@ func TestPerJobScanWorkersOverride(t *testing.T) {
 	}
 }
 
-// Temporal kinds must run inside the mixed load workload (the -load mix
-// includes them) with full success.
+// Temporal kinds must run inside the mixed workload (DefaultMix includes
+// them) with full success.
 func TestLoadMixIncludesTemporalKinds(t *testing.T) {
 	mix := DefaultMix()
 	haveSpy, haveFP := false, false
@@ -197,14 +197,15 @@ func TestLoadMixIncludesTemporalKinds(t *testing.T) {
 	}
 
 	s := New(Config{Executors: 4, ScanWorkers: 2, QueueDepth: 16})
-	rep := RunLoad(s, LoadConfig{Jobs: 2 * len(mix), Concurrency: 4, Victims: 3, Seed: 11})
+	jobs := 2 * len(mix)
+	closedLoop(t, s, 4, jobs, mix, 11, 3)
 	s.Drain()
 	st := s.Stats()
 	if st.Failed > 0 {
 		t.Fatalf("%d mixed-load jobs failed", st.Failed)
 	}
-	if st.Completed != rep.Jobs {
-		t.Fatalf("completed %d of %d", st.Completed, rep.Jobs)
+	if st.Completed != jobs {
+		t.Fatalf("completed %d of %d", st.Completed, jobs)
 	}
 }
 
