@@ -1,6 +1,7 @@
 # Build / verify / benchmark entry points.
 #
-#   make vet       - go vet
+#   make vet       - go vet, and fail on any file gofmt would change
+#                    (the walk covers bench/ too)
 #   make test      - tier-1 (go build ./... && go test ./...)
 #   make test-race - the full suite under the race detector with two
 #                    scheduler Ps (GOMAXPROCS=2, -count=1): every parity,
@@ -32,6 +33,7 @@ ci: vet test test-race bench-test bench-smoke
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) build ./...

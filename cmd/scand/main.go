@@ -6,9 +6,9 @@
 // kind evaluating a §V countermeasure — flare | fgkaslr | rerand |
 // maskedop — against its attack on a defense-configured boot) across
 // executor goroutines that share calibrated sessions and one scan-engine
-// worker pool. A job may pin its own sweep parallelism with "scan_workers"; the
-// result store is bounded (-store-max-jobs, -store-ttl) so a long-lived
-// daemon's memory stays flat while the aggregate stats keep counting.
+// worker pool. The result store is bounded (-store-max-jobs, -store-ttl) so
+// a long-lived daemon's memory stays flat while the aggregate stats keep
+// counting.
 //
 // The scheduler self-heals: transient failures (injected faults, watchdog
 // deadline overruns, panics, corrupt sessions) retry with capped
@@ -22,7 +22,7 @@
 //
 // Daemon mode:
 //
-//	scand [-addr :8440] [-executors N] [-scan-workers N] [-queue N] [-fresh]
+//	scand [-addr :8440] [-executors N] [-scan-workers N] [-queue N]
 //	      [-store-max-jobs N] [-store-ttl D] [-pprof localhost:6060]
 //	      [-max-attempts N] [-job-deadline D] [-shed-watermark N]
 //	      [-fault-seed N -fault-rate P] [-trace-sample N] [-trace-buffer N]
@@ -42,7 +42,7 @@
 //
 //	POST /jobs       {"kind":"kernelbase","cpu":"12400F","seed":7}  → {"id":1}
 //	POST /jobs       {"kind":"behaviorspy","seed":7,"duration_sec":20}
-//	POST /jobs       {"kind":"appfingerprint","seed":7,"app":"fps-game","scan_workers":4}
+//	POST /jobs       {"kind":"appfingerprint","seed":7,"app":"fps-game"}
 //	POST /jobs       {"kind":"defenseeval","defense":"flare","seed":7}
 //	POST /jobs       {"kind":"defenseeval","defense":"rerand","seed":7,"rerand_periods_sec":[0.001,0.1]}
 //	GET  /jobs/1     status + result
@@ -84,7 +84,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		executors   = fs.Int("executors", 0, "concurrent job executors (0 = GOMAXPROCS)")
 		scanWorkers = fs.Int("scan-workers", 0, "scan-engine workers per job (0 = inline, negative = all CPUs)")
 		queue       = fs.Int("queue", 64, "bounded job-queue depth")
-		fresh       = fs.Bool("fresh", false, "disable the shared scan pool (fresh replicas per sweep)")
 		storeMax    = fs.Int("store-max-jobs", 0, "finished jobs retained in the result store (0 = default bound, negative = unbounded)")
 		storeTTL    = fs.Duration("store-ttl", 0, "evict finished jobs older than this (0 = no TTL)")
 		maxAttempts = fs.Int("max-attempts", 0, "attempts per job before a transient failure is final (0 = 3, 1 = no retries)")
@@ -106,7 +105,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		Executors:     *executors,
 		QueueDepth:    *queue,
 		ScanWorkers:   *scanWorkers,
-		FreshWorkers:  *fresh,
 		Store:         service.StoreConfig{MaxJobs: *storeMax, TTL: *storeTTL},
 		MaxAttempts:   *maxAttempts,
 		JobDeadline:   *jobDeadline,
@@ -141,8 +139,8 @@ func run(args []string, stdout, stderr *os.File) int {
 		srv.Close()
 	}()
 	eff := s.Config()
-	fmt.Fprintf(stdout, "scand: serving attack jobs on %s (executors=%d scan-workers=%d queue=%d pooled=%v)\n",
-		*addr, eff.Executors, eff.ScanWorkers, eff.QueueDepth, !eff.FreshWorkers)
+	fmt.Fprintf(stdout, "scand: serving attack jobs on %s (executors=%d scan-workers=%d queue=%d)\n",
+		*addr, eff.Executors, eff.ScanWorkers, eff.QueueDepth)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintf(stderr, "scand: %v\n", err)
 		return 1

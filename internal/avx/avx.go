@@ -167,15 +167,10 @@ type Outcome struct {
 // Evaluate applies the masked-op fault/assist rules. pageState must return
 // the state of each page returned by o.Pages(); dirtyPending reports, for
 // stores only, whether the op would be the first write to a clean page
-// (triggering the Dirty-bit assist).
-func Evaluate(o Op, pageState func(pageBase paging.VirtAddr) PageState, dirtyPending func(pageBase paging.VirtAddr) bool) Outcome {
-	return EvaluateBuf(o, pageState, dirtyPending, nil)
-}
-
-// EvaluateBuf is Evaluate with a caller-provided backing buffer for
-// Outcome.MovedElems (may be nil), so hot probing loops can evaluate a
-// masked op without allocating. An op has at most NumElems moved elements.
-func EvaluateBuf(o Op, pageState func(pageBase paging.VirtAddr) PageState, dirtyPending func(pageBase paging.VirtAddr) bool, movedBuf []int) Outcome {
+// (triggering the Dirty-bit assist). movedBuf backs Outcome.MovedElems
+// (may be nil), so hot probing loops can evaluate a masked op without
+// allocating. An op has at most NumElems moved elements.
+func Evaluate(o Op, pageState func(pageBase paging.VirtAddr) PageState, dirtyPending func(pageBase paging.VirtAddr) bool, movedBuf []int) Outcome {
 	var out Outcome
 	moved := movedBuf[:0]
 	// seen de-duplicates boundary-straddling elements that intersect both

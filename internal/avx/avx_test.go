@@ -76,7 +76,7 @@ func TestFig1CaseA_PartialMaskLoadFaults(t *testing.T) {
 		}
 		return noPage
 	}
-	out := Evaluate(op, st, nil)
+	out := Evaluate(op, st, nil, nil)
 	if !out.Fault {
 		t.Fatal("no fault for set mask bit on unmapped page")
 	}
@@ -96,7 +96,7 @@ func TestFig1CaseC_MaskedOutSuppresses(t *testing.T) {
 		}
 		return noPage
 	}
-	out := Evaluate(op, st, nil)
+	out := Evaluate(op, st, nil, nil)
 	if out.Fault {
 		t.Fatal("suppressed elements faulted")
 	}
@@ -120,7 +120,7 @@ func TestZeroMaskNeverFaults(t *testing.T) {
 			}
 			return kernPage
 		}
-		out := Evaluate(op, st, nil)
+		out := Evaluate(op, st, nil, nil)
 		return !out.Fault
 	}, &quick.Config{MaxCount: 500})
 	if err != nil {
@@ -130,7 +130,7 @@ func TestZeroMaskNeverFaults(t *testing.T) {
 
 func TestZeroMaskOnBadPageAssists(t *testing.T) {
 	for _, st := range []PageState{noPage, kernPage} {
-		out := Evaluate(MaskedLoad(0x1000, ZeroMask), uniform(st), nil)
+		out := Evaluate(MaskedLoad(0x1000, ZeroMask), uniform(st), nil, nil)
 		if out.Fault {
 			t.Fatal("zero mask faulted")
 		}
@@ -144,14 +144,14 @@ func TestZeroMaskOnBadPageAssists(t *testing.T) {
 }
 
 func TestZeroMaskOnGoodPageFast(t *testing.T) {
-	out := Evaluate(MaskedLoad(0x1000, ZeroMask), uniform(rwPage), nil)
+	out := Evaluate(MaskedLoad(0x1000, ZeroMask), uniform(rwPage), nil, nil)
 	if out.Assist || out.Fault || len(out.MovedElems) != 0 {
 		t.Fatalf("good-page zero-mask outcome %+v", out)
 	}
 }
 
 func TestStoreToReadOnlyAssists(t *testing.T) {
-	out := Evaluate(MaskedStore(0x1000, ZeroMask), uniform(roPage), nil)
+	out := Evaluate(MaskedStore(0x1000, ZeroMask), uniform(roPage), nil, nil)
 	if !out.Assist {
 		t.Fatal("read-only store destination must assist (P5)")
 	}
@@ -159,14 +159,14 @@ func TestStoreToReadOnlyAssists(t *testing.T) {
 		t.Fatal("zero-mask store faulted")
 	}
 	// Loads to the same page are fine.
-	out = Evaluate(MaskedLoad(0x1000, ZeroMask), uniform(roPage), nil)
+	out = Evaluate(MaskedLoad(0x1000, ZeroMask), uniform(roPage), nil, nil)
 	if out.Assist {
 		t.Fatal("read-only load assisted")
 	}
 }
 
 func TestStoreWithSetMaskToReadOnlyFaults(t *testing.T) {
-	out := Evaluate(MaskedStore(0x1000, AllMask(8)), uniform(roPage), nil)
+	out := Evaluate(MaskedStore(0x1000, AllMask(8)), uniform(roPage), nil, nil)
 	if !out.Fault {
 		t.Fatal("real store to read-only page did not fault")
 	}
@@ -175,12 +175,12 @@ func TestStoreWithSetMaskToReadOnlyFaults(t *testing.T) {
 func TestDirtyAssistOnlyForRealWrites(t *testing.T) {
 	dirtyPending := func(paging.VirtAddr) bool { return true }
 	// Zero-mask store: no element writes, no dirty assist.
-	out := Evaluate(MaskedStore(0x1000, ZeroMask), uniform(rwPage), dirtyPending)
+	out := Evaluate(MaskedStore(0x1000, ZeroMask), uniform(rwPage), dirtyPending, nil)
 	if out.Assist {
 		t.Fatal("zero-mask store triggered the dirty assist")
 	}
 	// Real store to a clean page: dirty assist fires.
-	out = Evaluate(MaskedStore(0x1000, AllMask(8)), uniform(rwPage), dirtyPending)
+	out = Evaluate(MaskedStore(0x1000, AllMask(8)), uniform(rwPage), dirtyPending, nil)
 	if !out.Assist {
 		t.Fatal("first real store to clean page did not assist")
 	}
@@ -189,7 +189,7 @@ func TestDirtyAssistOnlyForRealWrites(t *testing.T) {
 	}
 	// Already-dirty page: no assist.
 	clean := func(paging.VirtAddr) bool { return false }
-	out = Evaluate(MaskedStore(0x1000, AllMask(8)), uniform(rwPage), clean)
+	out = Evaluate(MaskedStore(0x1000, AllMask(8)), uniform(rwPage), clean, nil)
 	if out.Assist {
 		t.Fatal("store to dirty page assisted")
 	}
@@ -197,7 +197,7 @@ func TestDirtyAssistOnlyForRealWrites(t *testing.T) {
 
 func TestLoadIgnoresDirtyPending(t *testing.T) {
 	dirtyPending := func(paging.VirtAddr) bool { return true }
-	out := Evaluate(MaskedLoad(0x1000, AllMask(8)), uniform(rwPage), dirtyPending)
+	out := Evaluate(MaskedLoad(0x1000, AllMask(8)), uniform(rwPage), dirtyPending, nil)
 	if out.Assist {
 		t.Fatal("load triggered a dirty assist")
 	}
@@ -206,7 +206,7 @@ func TestLoadIgnoresDirtyPending(t *testing.T) {
 func TestMovedElemsRespectMask(t *testing.T) {
 	err := quick.Check(func(mask uint8) bool {
 		op := MaskedLoad(0x1000, Mask(mask))
-		out := Evaluate(op, uniform(rwPage), nil)
+		out := Evaluate(op, uniform(rwPage), nil, nil)
 		if out.Fault || out.Assist {
 			return false
 		}

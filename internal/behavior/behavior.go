@@ -175,7 +175,8 @@ const DefaultResolution = 1.0
 
 // Driver is a deterministic, seekable event source replaying one or more
 // timelines against a booted kernel. Victim events live on a fixed time
-// grid (multiples of Resolution): event k fires at time k*Resolution for
+// grid (multiples of the resolution, DefaultResolution unless
+// SetResolution changed it): event k fires at time k*resolution for
 // every timeline on at that instant, touching the module's leading pages —
 // which installs the module's translations in the TLB of whatever machine
 // the events are replayed against.
@@ -215,9 +216,6 @@ func NewDriver(k *linux.Kernel, timelines ...*Timeline) (*Driver, error) {
 	}
 	return d, nil
 }
-
-// Resolution returns the event-grid spacing in seconds.
-func (d *Driver) Resolution() float64 { return d.res }
 
 // SetResolution changes the event-grid spacing (call before any replay; it
 // redefines the whole schedule).
@@ -306,7 +304,3 @@ func (d *Driver) Step(t float64) error {
 	}
 	return nil
 }
-
-// Timelines returns the driver's timelines (ground truth for accuracy
-// scoring).
-func (d *Driver) Timelines() []*Timeline { return d.timelines }

@@ -334,7 +334,7 @@ func TestScenarioMetadata(t *testing.T) {
 }
 
 func TestEvaluateKernelBaseHarness(t *testing.T) {
-	rep, err := EvaluateKernelBase(uarch.AlderLake12400F(), 20, rng.New(1).Uint64())
+	rep, err := EvaluateKernelBase(uarch.AlderLake12400F(), 20, rng.New(1).Uint64(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestEvaluateKernelBaseHarness(t *testing.T) {
 }
 
 func TestEvaluateModulesHarness(t *testing.T) {
-	rep, err := EvaluateModules(uarch.AlderLake12400F(), 3, 7)
+	rep, err := EvaluateModules(uarch.AlderLake12400F(), 3, 7, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

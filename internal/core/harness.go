@@ -45,17 +45,12 @@ func (r TrialReport) String() string {
 // EvaluateKernelBase reboots the victim n times with fresh KASLR and runs
 // the base-derandomization attack each time, scoring exact base recovery
 // (the paper's Table I methodology: reboot, attack, check
-// /proc/kallsyms).
-func EvaluateKernelBase(preset *uarch.Preset, n int, seed uint64) (TrialReport, error) {
-	return EvaluateKernelBaseOpt(preset, n, seed, Options{})
-}
-
-// EvaluateKernelBaseOpt is EvaluateKernelBase with explicit prober options
-// (notably Options.Workers, the slot scan's engine parallelism, and
-// Options.Pool: each trial boots a fresh victim, but a shared pool rebinds
-// the same worker replicas to it, so the clone cost is paid once per
-// session instead of once per trial).
-func EvaluateKernelBaseOpt(preset *uarch.Preset, n int, seed uint64, opt Options) (TrialReport, error) {
+// /proc/kallsyms). opt configures each trial's prober (notably
+// Options.Workers, the slot scan's engine parallelism, and Options.Pool:
+// each trial boots a fresh victim, but a shared pool rebinds the same
+// worker replicas to it, so the clone cost is paid once per session
+// instead of once per trial).
+func EvaluateKernelBase(preset *uarch.Preset, n int, seed uint64, opt Options) (TrialReport, error) {
 	rep := TrialReport{CPU: preset.Name, Target: "Base", Trials: n}
 	var probeSum, totalSum float64
 	for i := 0; i < n; i++ {
@@ -87,13 +82,9 @@ func EvaluateKernelBaseOpt(preset *uarch.Preset, n int, seed uint64, opt Options
 
 // EvaluateModules reboots n times and scores module detection: the trial
 // accuracy is the fraction of loaded modules whose base and size were
-// recovered exactly (the Table I "Modules" rows).
-func EvaluateModules(preset *uarch.Preset, n int, seed uint64) (TrialReport, error) {
-	return EvaluateModulesOpt(preset, n, seed, Options{})
-}
-
-// EvaluateModulesOpt is EvaluateModules with explicit prober options.
-func EvaluateModulesOpt(preset *uarch.Preset, n int, seed uint64, opt Options) (TrialReport, error) {
+// recovered exactly (the Table I "Modules" rows). opt configures each
+// trial's prober, as in EvaluateKernelBase.
+func EvaluateModules(preset *uarch.Preset, n int, seed uint64, opt Options) (TrialReport, error) {
 	rep := TrialReport{CPU: preset.Name, Target: "Modules", Trials: n}
 	var probeSum, totalSum, accSum float64
 	for i := 0; i < n; i++ {

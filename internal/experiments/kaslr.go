@@ -100,9 +100,9 @@ func Table1(sc Scale) Report {
 		var rep core.TrialReport
 		var err error
 		if r.modules {
-			rep, err = core.EvaluateModulesOpt(r.preset, sc.TrialsModules, sc.Seed, sc.proberOptions())
+			rep, err = core.EvaluateModules(r.preset, sc.TrialsModules, sc.Seed, sc.proberOptions())
 		} else {
-			rep, err = core.EvaluateKernelBaseOpt(r.preset, sc.TrialsBase, sc.Seed, sc.proberOptions())
+			rep, err = core.EvaluateKernelBase(r.preset, sc.TrialsBase, sc.Seed, sc.proberOptions())
 		}
 		if err != nil {
 			return Report{ID: "Table I", Measured: err.Error()}

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
+
+var updatePaper = flag.Bool("update-paper", false, "rewrite testdata/paper.golden from the current code")
 
 func TestScaleDefaults(t *testing.T) {
 	sc := DefaultScale()
@@ -48,6 +52,11 @@ func TestReportString(t *testing.T) {
 	}
 }
 
+// TestAllRunsEveryExperiment runs the whole suite at test scale, checks
+// every shape verdict, and compares the concatenated reports against
+// testdata/paper.golden, so a behaviour change shows as the paper numbers
+// that moved. Regenerate on purpose with
+// go test ./internal/experiments -run TestAllRunsEveryExperiment -update-paper.
 func TestAllRunsEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite")
@@ -58,7 +67,10 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 		t.Fatalf("All ran %d experiments, want 16", len(reports))
 	}
 	seen := map[string]bool{}
+	var paper strings.Builder
 	for _, r := range reports {
+		paper.WriteString(r.String())
+		paper.WriteString("\n")
 		if r.ID == "" {
 			t.Fatal("experiment without ID")
 		}
@@ -69,6 +81,26 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 		if !r.OK {
 			t.Errorf("%s: %s", r.ID, r.Measured)
 		}
+	}
+	got := paper.String()
+	if *updatePaper {
+		if err := os.WriteFile("testdata/paper.golden", []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile("testdata/paper.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs from testdata/paper.golden\nwant: %s\ngot:  %s", i+1, wl[i], gl[i])
+			}
+		}
+		t.Fatalf("paper report has %d lines, testdata/paper.golden %d", len(gl), len(wl))
 	}
 }
 

@@ -378,9 +378,6 @@ func (k *Kernel) buildSymbols(r *rng.Source) {
 // Machine returns the machine the kernel is booted on.
 func (k *Kernel) Machine() *machine.Machine { return k.m }
 
-// SyscallTouchSet returns the kernel text the syscall path runs through.
-func (k *Kernel) SyscallTouchSet() []paging.VirtAddr { return k.syscallSet }
-
 // Syscall performs one victim syscall on the machine: kernel entry plus
 // TLB residency for the handler's text (used by the FLARE bypass and the
 // FGKASLR template attack).

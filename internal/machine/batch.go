@@ -14,15 +14,6 @@ import (
 // the single-op calls, so a batch is bit-identical to the equivalent
 // one-op-at-a-time loop: batching buys host time, never different results.
 
-// ExecMaskedBatch executes each op in order as the attacker, writing the
-// per-op results into out (len(out) must be >= len(ops)). Equivalent to
-// calling ExecMasked per op.
-func (m *Machine) ExecMaskedBatch(ops []avx.Op, out []Result) {
-	for i, op := range ops {
-		out[i] = m.ExecMasked(op)
-	}
-}
-
 // MeasureBatch runs the double-execution probe sequence for every op in
 // ops: warmups unmeasured executions, then samples measured executions
 // (the lfence;rdtsc bracket of Measure), writing the measured cycle values

@@ -167,33 +167,6 @@ func TestSnapshotRestoreReplays(t *testing.T) {
 	}
 }
 
-// ExecMaskedBatch must be the plain batched form of ExecMasked.
-func TestExecMaskedBatchMatchesLoop(t *testing.T) {
-	a := New(uarch.AlderLake12400F(), 5)
-	b := New(uarch.AlderLake12400F(), 5)
-	if err := a.MapUser(0x7e0000000000, 16*paging.Page4K, paging.Writable); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.MapUser(0x7e0000000000, 16*paging.Page4K, paging.Writable); err != nil {
-		t.Fatal(err)
-	}
-	ops := testOps(48)
-	want := make([]Result, len(ops))
-	for i, op := range ops {
-		want[i] = a.ExecMasked(op)
-	}
-	got := make([]Result, len(ops))
-	b.ExecMaskedBatch(ops, got)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("result %d differs: loop %+v, batch %+v", i, want[i], got[i])
-		}
-	}
-	if a.RDTSC() != b.RDTSC() {
-		t.Fatal("clocks differ after batch exec")
-	}
-}
-
 // The batched measurement path must stay allocation-free — it is the inner
 // loop of every sharded sweep.
 func TestMeasureBatchZeroAlloc(t *testing.T) {

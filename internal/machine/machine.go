@@ -127,7 +127,7 @@ func New(p *uarch.Preset, seed uint64) *Machine {
 // Seed returns the seed the machine's noise stream was created with.
 func (m *Machine) Seed() uint64 { return m.seed }
 
-// initHotPath builds the closures ExecMasked hands to avx.EvaluateBuf. They
+// initHotPath builds the closures ExecMasked hands to avx.Evaluate. They
 // read the per-op scratch translations off the machine, so they are built
 // once per machine instead of once per instruction (a per-call closure
 // would allocate on every probe).
@@ -582,9 +582,9 @@ func (m *Machine) ExecMasked(op avx.Op) Result {
 		// Fast path for the probing workhorse: an all-suppressed op on a
 		// single page never faults and moves no data, so the full masked-op
 		// evaluation (per-element mask/page intersection through the
-		// EvaluateBuf closures) collapses to one page-state check. The
+		// Evaluate closures) collapses to one page-state check. The
 		// outcome — suppressed-fault count, assist kind, counters, cost —
-		// is exactly what EvaluateBuf+assistCost produce for this shape.
+		// is exactly what Evaluate+assistCost produce for this shape.
 		if !walkState(&m.scratchPI[0].walk).Accessible(op.Store) {
 			m.Counters.Add(perf.FaultSuppressed, uint64(op.NumElems()))
 			r.Assist = true
@@ -596,7 +596,7 @@ func (m *Machine) ExecMasked(op avx.Op) Result {
 			}
 		}
 	} else {
-		out := avx.EvaluateBuf(op, m.stateFn, m.dirtyFn, m.movedBuf[:0])
+		out := avx.Evaluate(op, m.stateFn, m.dirtyFn, m.movedBuf[:0])
 		if out.Suppressed > 0 {
 			m.Counters.Add(perf.FaultSuppressed, uint64(out.Suppressed))
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -315,10 +314,4 @@ func formatFloat(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
-}
-
-// SortLabels orders a label set by key (helper for callers that build
-// label sets from maps and need deterministic series identity).
-func SortLabels(ls Labels) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 }

@@ -77,10 +77,9 @@ func directDefenseResult(t *testing.T, spec JobSpec) *Result {
 
 // A defense evaluation through the scheduler must be bit-identical to the
 // direct internal/defense evaluation at the same seed, at every scan-worker
-// setting, pooled and fresh — the KindDefenseEval half of the service
-// determinism contract. The simulated runtimes (which the direct API does
-// not return for most defenses) must at least be bit-identical across the
-// whole grid.
+// setting — the KindDefenseEval half of the service determinism contract.
+// The simulated runtimes (which the direct API does not return for most
+// defenses) must at least be bit-identical across the whole grid.
 func TestDefenseEvalServiceParity(t *testing.T) {
 	specs := []JobSpec{
 		{Kind: KindDefenseEval, CPU: "12400F", Seed: 77, Defense: DefenseFLARE},
@@ -89,21 +88,11 @@ func TestDefenseEvalServiceParity(t *testing.T) {
 			RerandPeriodsSec: []float64{0.0001, 0.001, 0.1}},
 		{Kind: KindDefenseEval, Seed: 77, Defense: DefenseMaskedOp},
 	}
-	grid := []struct {
-		workers int
-		fresh   bool
-	}{
-		{0, false}, {0, true},
-		{1, false}, {1, true},
-		{4, false}, {4, true},
-		{8, false}, {8, true},
-	}
-
 	for _, spec := range specs {
 		want := directDefenseResult(t, spec)
 		var ref *Result
-		for _, g := range grid {
-			s := New(Config{Executors: 1, ScanWorkers: g.workers, FreshWorkers: g.fresh})
+		for _, workers := range []int{0, 1, 4, 8} {
+			s := New(Config{Executors: 1, ScanWorkers: workers})
 			j, err := s.Submit(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +100,7 @@ func TestDefenseEvalServiceParity(t *testing.T) {
 			got, err := s.Wait(j)
 			s.Drain()
 			if err != nil {
-				t.Fatalf("%s workers=%d fresh=%v: %v", spec.Defense, g.workers, g.fresh, err)
+				t.Fatalf("%s workers=%d: %v", spec.Defense, workers, err)
 			}
 
 			// Outcome parity vs the direct evaluation: compare with the
@@ -122,16 +111,16 @@ func TestDefenseEvalServiceParity(t *testing.T) {
 				cmp.ProbeSimSec = 0
 			}
 			if !reflect.DeepEqual(want, &cmp) {
-				t.Fatalf("%s workers=%d fresh=%v differs from direct evaluation\nwant: %+v\ngot:  %+v",
-					spec.Defense, g.workers, g.fresh, want, got)
+				t.Fatalf("%s workers=%d differs from direct evaluation\nwant: %+v\ngot:  %+v",
+					spec.Defense, workers, want, got)
 			}
 
 			// Full-result determinism (including runtimes) across the grid.
 			if ref == nil {
 				ref = got
 			} else if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("%s workers=%d fresh=%v: full result differs across the grid\nref: %+v\ngot: %+v",
-					spec.Defense, g.workers, g.fresh, ref, got)
+				t.Fatalf("%s workers=%d: full result differs across the grid\nref: %+v\ngot: %+v",
+					spec.Defense, workers, ref, got)
 			}
 		}
 	}

@@ -19,8 +19,8 @@
 //
 //   - Worker replicas: one core.ScanPool is shared by every executor, so
 //     concurrent scans draw calibrated prober replicas from a single free
-//     list and machine.Rebind re-syncs them per scan (pooled == fresh is
-//     enforced by the core parity suites).
+//     list and machine.Rebind re-syncs them per scan (pooled output equals
+//     fresh-replica output; core's TestPooledMatchesFresh enforces it).
 //   - Sessions: a booted victim + calibrated prober, rewound to a saved
 //     machine.Snapshot before every job (core.Prober.Restore). For the
 //     stateless kinds the snapshot is the post-calibration state and never
@@ -56,11 +56,6 @@
 // materialize it — a session can keep serving windows past any tick count
 // and still match a direct run window for window. MaxJobTicks bounds only
 // one job's allocation, never the session's cumulative timeline position.
-//
-// Per-job knobs: JobSpec.ScanWorkers overrides the scheduler's sweep
-// parallelism for one job (validated at submission, falls back to the
-// scheduler default; results are bit-identical at every setting, so the
-// knob only trades job latency against executor throughput).
 //
 // # Adding a job kind
 //
@@ -119,16 +114,15 @@
 // them; `make test-race` runs the whole matrix under -race). A disabled
 // injector is a nil pointer: the production hot path pays one nil test.
 //
-// The result store streams completed jobs to subscribers and aggregates
-// the service-level metrics (success rate, jobs/s, p50/p99 host latency,
-// total simulated attacker time). Retention is bounded (StoreConfig:
-// max-jobs cap plus optional finished-job TTL): only finished jobs are
-// evicted — in-flight jobs are pinned so drains always complete — and the
-// aggregates live in counters and fixed-bucket histograms (internal/obs)
-// that survive eviction, so a long-lived scand serves unbounded traffic in
-// bounded memory with O(buckets) stats scrapes. cmd/scand exposes the
-// scheduler over HTTP; the bench module (bench/run.sh) puts sustained
-// traffic through it in-process.
+// The result store aggregates the service-level metrics (success rate,
+// jobs/s, p50/p99 host latency, total simulated attacker time). Retention
+// is bounded (StoreConfig: max-jobs cap plus optional finished-job TTL):
+// only finished jobs are evicted — in-flight jobs are pinned so drains
+// always complete — and the aggregates live in counters and fixed-bucket
+// histograms (internal/obs) that survive eviction, so a long-lived scand
+// serves unbounded traffic in bounded memory with O(buckets) stats
+// scrapes. cmd/scand exposes the scheduler over HTTP; the bench module
+// (bench/run.sh) puts sustained traffic through it in-process.
 //
 // # Observability contract
 //

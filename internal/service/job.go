@@ -115,7 +115,7 @@ type JobSpec struct {
 	// the kernel image.
 	Trampoline uint64 `json:"trampoline,omitempty"`
 	// Drivers is the Windows driver-image population (kind windows;
-	// 0 = 24, the cmd default; negative is rejected).
+	// 0 = 24; negative or more than MaxJobDrivers is rejected).
 	Drivers int `json:"drivers,omitempty"`
 	// EntropyBits scales the user-ASLR entropy (kind userscan; 0 = 12, a
 	// service-friendly window — the paper's 28 bits extrapolate). Valid
@@ -143,27 +143,20 @@ type JobSpec struct {
 	// Ticks is the observation-window length per job in ticks (kind
 	// appfingerprint; 0 = 8).
 	Ticks int `json:"ticks,omitempty"`
-	// ScanWorkers overrides the scheduler's per-job scan-engine parallelism
-	// (core.Options.Workers) for this job only: 0 runs the job's sweeps
-	// inline on its session machine, >= 1 fans chunks across that many
-	// pooled replicas. nil falls back to the scheduler default. Results are
-	// bit-identical at every setting, so this knob trades this job's
-	// latency against executor-level throughput — it is deliberately not
-	// part of the victim key.
-	ScanWorkers *int `json:"scan_workers,omitempty"`
 }
-
-// MaxJobScanWorkers bounds the per-job ScanWorkers override (a submitted
-// job must not fan one sweep across an unbounded replica count).
-const MaxJobScanWorkers = 256
 
 // MaxJobTicks bounds a temporal job's observation window in ticks: one
 // submitted job must not make an executor allocate an unbounded per-tick
-// result (the temporal analogue of MaxJobScanWorkers). It is purely a
-// per-job allocation bound — the session's cumulative timeline position is
-// unbounded, since victim timelines extend lazily without horizon (any
-// number of maximal jobs can continue one session).
+// result. It is purely a per-job allocation bound — the session's
+// cumulative timeline position is unbounded, since victim timelines extend
+// lazily without horizon (any number of maximal jobs can continue one
+// session).
 const MaxJobTicks = 1 << 16
+
+// MaxJobDrivers bounds a windows job's loaded-driver count: each driver
+// takes physical frames on the victim machine, and past about 2,000 the
+// boot runs out of them.
+const MaxJobDrivers = 1024
 
 // MaxRerandSweepPeriods bounds one defense-eval job's re-randomization
 // period sweep (one result row per period).
@@ -171,11 +164,6 @@ const MaxRerandSweepPeriods = 64
 
 // normalized fills the spec's kind defaults and validates it.
 func (s JobSpec) normalized() (JobSpec, error) {
-	if s.ScanWorkers != nil {
-		if w := *s.ScanWorkers; w < 0 || w > MaxJobScanWorkers {
-			return s, fmt.Errorf("service: scan_workers %d out of range [0, %d]", w, MaxJobScanWorkers)
-		}
-	}
 	def := kindOf(s.Kind)
 	if def == nil {
 		return s, fmt.Errorf("service: unknown job kind %q", s.Kind)
@@ -340,9 +328,3 @@ type Job struct {
 
 // Done returns a channel closed when the job completes (done or failed).
 func (j *Job) Done() <-chan struct{} { return j.done }
-
-// QueueLatency and RunLatency split the job's host wall-clock.
-func (j *Job) QueueLatency() time.Duration { return j.Started.Sub(j.Submitted) }
-
-// RunLatency returns the executor wall-clock of a finished job.
-func (j *Job) RunLatency() time.Duration { return j.Finished.Sub(j.Started) }

@@ -159,7 +159,7 @@ func appFingerprintKey(s JobSpec) string {
 		s.CPU, s.Seed, s.FLARE, s.FGKASLR, s.App, s.Ticks, s.TickSec)
 }
 
-// The victim boots follow the direct-call recipe (cmd/avxattack, the
+// The victim boots follow the direct-call recipe (cmd/experiments, the
 // examples) exactly, which is what makes service results bit-identical to
 // direct core calls.
 
@@ -265,6 +265,9 @@ func normalizeWindows(s *JobSpec) error {
 	s.Drivers = cmp.Or(s.Drivers, 24)
 	if s.Drivers < 0 {
 		return fmt.Errorf("service: negative driver count %d", s.Drivers)
+	}
+	if s.Drivers > MaxJobDrivers {
+		return fmt.Errorf("service: %d drivers, max %d", s.Drivers, MaxJobDrivers)
 	}
 	return nil
 }

@@ -107,12 +107,7 @@ func newMetricsPlane(s *Scheduler) *metricsPlane {
 	}
 
 	r.GaugeFunc("scand_pool_replicas", "Replicas in the shared scan-engine pool.",
-		func() float64 {
-			if s.pool == nil {
-				return 0
-			}
-			return float64(s.pool.Replicas())
-		})
+		func() float64 { return float64(s.pool.Replicas()) })
 	r.CounterFunc("scand_traces_started_total", "Job lifecycle traces begun by the recorder.",
 		func() float64 { return float64(s.rec.Started()) })
 	r.GaugeFunc("scand_traces_retained", "Traces currently held in the bounded ring.",

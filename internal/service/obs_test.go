@@ -333,7 +333,7 @@ func TestStoreStatsConcurrentWithTTLChurn(t *testing.T) {
 // The per-kind latency histograms /metrics exports separate populations
 // the aggregate blends.
 func TestKindLatencies(t *testing.T) {
-	st := NewStore()
+	st := NewBoundedStore(StoreConfig{})
 	for id := uint64(1); id <= 20; id++ {
 		j := fakeJob(st, id)
 		if id%2 == 0 {

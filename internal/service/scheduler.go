@@ -36,10 +36,6 @@ type Config struct {
 	// session machine; >= 1 fans sweep chunks across that many pooled
 	// replicas. Results are bit-identical at every setting.
 	ScanWorkers int
-	// FreshWorkers disables the shared scan pool (every sweep clones fresh
-	// replicas). Pooled and fresh results are bit-identical; fresh exists
-	// for ablations and the parity suite.
-	FreshWorkers bool
 	// MaxIdleSessions bounds the session cache (0 means 2×Executors).
 	MaxIdleSessions int
 	// Store bounds the result store's retention (see StoreConfig): max
@@ -152,14 +148,12 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		cfg:     cfg,
 		cache:   newSessionCache(cfg.MaxIdleSessions),
+		pool:    core.NewScanPool(),
 		store:   NewBoundedStore(cfg.Store),
 		inj:     fault.New(cfg.Fault),
 		rec:     obs.NewRecorder(cfg.TraceSample, cfg.TraceBuffer),
 		queue:   make(chan *Job, cfg.QueueDepth),
 		drainCh: make(chan struct{}),
-	}
-	if !cfg.FreshWorkers {
-		s.pool = core.NewScanPool()
 	}
 	// The metrics plane registers scrape-time views over the subsystems
 	// built above, so it must come last — and before the executors start,
@@ -172,8 +166,8 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Store exposes the scheduler's result store (status, results, streams,
-// aggregate stats).
+// Store exposes the scheduler's result store (status, results, aggregate
+// stats).
 func (s *Scheduler) Store() *Store { return s.store }
 
 // Config returns the scheduler's normalized configuration.
@@ -289,9 +283,7 @@ func (s *Scheduler) Stats() Stats {
 	st.CalibrationsReused = cs.CalibrationHits
 	st.Quarantined = cs.Quarantined
 	st.SessionsEvicted = cs.Evicted
-	if s.pool != nil {
-		st.PoolReplicas = s.pool.Replicas()
-	}
+	st.PoolReplicas = s.pool.Replicas()
 	st.FaultsInjected = s.inj.TotalFired()
 	return st
 }
@@ -325,12 +317,6 @@ func (s *Scheduler) runJob(j *Job) {
 	root := j.trace.Root()
 	key := j.Spec.faultKey()
 	opt := core.Options{Workers: s.cfg.ScanWorkers, Pool: s.pool}
-	if j.Spec.ScanWorkers != nil {
-		// Per-job override (validated at submission): parallelism is
-		// host-side only, so results stay bit-identical to the
-		// scheduler default — only this job's latency changes.
-		opt.Workers = *j.Spec.ScanWorkers
-	}
 	var res *Result
 	var err error
 	attempt := 0

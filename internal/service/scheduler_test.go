@@ -1,8 +1,10 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -184,6 +186,7 @@ var invalidSpecs = []struct {
 	{JobSpec{Kind: KindUserScan, EntropyBits: -3}, "entropy_bits -3 out of range"},
 	{JobSpec{Kind: KindUserScan, EntropyBits: 99}, "entropy_bits 99 out of range"},
 	{JobSpec{Kind: KindWindows, Drivers: -1}, "negative driver count"},
+	{JobSpec{Kind: KindWindows, Drivers: MaxJobDrivers + 1}, "drivers, max"},
 }
 
 // The victim-field bounds TestSubmitValidation rejects past are inclusive:
@@ -194,6 +197,7 @@ func TestSubmitValidationBoundsInclusive(t *testing.T) {
 		{Kind: KindUserScan, EntropyBits: 1},
 		{Kind: KindUserScan, EntropyBits: userspace.EntropyBits},
 		{Kind: KindWindows, Drivers: 1},
+		{Kind: KindWindows, Drivers: MaxJobDrivers},
 	} {
 		if _, err := spec.normalized(); err != nil {
 			t.Errorf("spec %+v rejected: %v", spec, err)
@@ -201,30 +205,60 @@ func TestSubmitValidationBoundsInclusive(t *testing.T) {
 	}
 }
 
-// The store must stream completions to subscribers without ever blocking
-// the executors.
-func TestStoreStreamsCompletions(t *testing.T) {
-	s := New(Config{Executors: 2})
-	stream, cancel := s.Store().Subscribe(32)
-	defer cancel()
-	const n = 6
-	for i := 0; i < n; i++ {
-		if _, err := s.Submit(JobSpec{Kind: KindKernelBase, CPU: "12400F", Seed: uint64(400 + i)}); err != nil {
-			t.Fatal(err)
-		}
+// FuzzJobSpec: every spec Submit accepts must, with faults off, finish in
+// one attempt — in a result, or in a permanent-class error — and a second
+// run on a fresh scheduler must end the same way. A transient class
+// (panic, deadline) means the service accepted an input it cannot serve.
+// The seeds are the load mixes plus the extreme values of each bounded
+// field.
+func FuzzJobSpec(f *testing.F) {
+	edges := []JobSpec{
+		{Kind: KindWindows, Drivers: MaxJobDrivers},
+		{Kind: KindCloud, Provider: "azure", AzureMaxSlot: 1},
+		{Kind: KindUserScan, EntropyBits: 1},
+		{Kind: KindUserScan, EntropyBits: userspace.EntropyBits},
+		{Kind: KindKPTI, Trampoline: 0x1000},
+		{Kind: KindBehaviorSpy, DurationSec: 1},
+		{Kind: KindAppFingerprint, Ticks: 1},
+		{Kind: KindDefenseEval, Defense: DefenseRerand, RerandPeriodsSec: []float64{1e-300}},
 	}
-	seen := make(map[uint64]bool)
-	timeout := time.After(30 * time.Second)
-	for len(seen) < n {
-		select {
-		case j := <-stream:
-			if j.Result == nil {
-				t.Fatalf("streamed job %d has no result", j.ID)
+	for _, list := range [][]JobSpec{DefaultMix(), DefenseMatrix(), edges} {
+		for _, spec := range list {
+			b, err := json.Marshal(spec)
+			if err != nil {
+				f.Fatal(err)
 			}
-			seen[j.ID] = true
-		case <-timeout:
-			t.Fatalf("stream delivered %d/%d completions", len(seen), n)
+			f.Add(b)
 		}
 	}
-	s.Drain()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		if json.Unmarshal(body, &spec) != nil {
+			return
+		}
+		run := func() (Job, bool) {
+			s := New(Config{Executors: 1})
+			defer s.Drain()
+			j, err := s.Submit(spec)
+			if err != nil {
+				return Job{}, false
+			}
+			<-j.Done()
+			snap, _ := s.JobSnapshot(j.ID)
+			return snap, true
+		}
+		first, ok := run()
+		if !ok {
+			return
+		}
+		if first.Attempts > 1 || (first.Status == StatusFailed && first.ErrClass != ClassPermanent) {
+			t.Fatalf("spec %s: %d attempts, status %s, class %q: %s",
+				body, first.Attempts, first.Status, first.ErrClass, first.Err)
+		}
+		second, _ := run()
+		if second.Status != first.Status || second.Err != first.Err || !reflect.DeepEqual(second.Result, first.Result) {
+			t.Fatalf("spec %s ends differently on a second run:\nfirst:  %s %q %+v\nsecond: %s %q %+v",
+				body, first.Status, first.Err, first.Result, second.Status, second.Err, second.Result)
+		}
+	})
 }

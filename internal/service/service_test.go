@@ -16,7 +16,7 @@ import (
 )
 
 // directResult mounts the spec's attack with plain core.* calls — the
-// exact recipe cmd/avxattack and the examples use, independent of the
+// exact recipe cmd/experiments and the examples use, independent of the
 // service's session/checkpoint machinery — and maps it to a Result.
 func directResult(t *testing.T, spec JobSpec) *Result {
 	t.Helper()
@@ -162,10 +162,9 @@ func paritySpecs() []JobSpec {
 }
 
 // The service determinism contract: every attack kind, submitted through
-// the scheduler at scan workers 0/1/4 × pooled/fresh, returns a Result
-// bit-identical to the direct core.* call at the same seed — and a second
-// submission of the same spec (which reuses the session and skips
-// calibration) matches too.
+// the scheduler at scan workers 0/1/4, returns a Result bit-identical to
+// the direct core.* call at the same seed — and a second submission of the
+// same spec (which reuses the session and skips calibration) matches too.
 func TestServiceParityWithDirectCalls(t *testing.T) {
 	specs := paritySpecs()
 	want := make([]*Result, len(specs))
@@ -177,26 +176,24 @@ func TestServiceParityWithDirectCalls(t *testing.T) {
 	}
 
 	for _, workers := range []int{0, 1, 4} {
-		for _, fresh := range []bool{false, true} {
-			s := New(Config{Executors: 2, ScanWorkers: workers, FreshWorkers: fresh})
-			for round := 0; round < 2; round++ {
-				for i, spec := range specs {
-					j, err := s.Submit(spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := s.Wait(j)
-					if err != nil {
-						t.Fatalf("workers=%d fresh=%v round=%d %s: %v", workers, fresh, round, spec.Kind, err)
-					}
-					if !reflect.DeepEqual(want[i], got) {
-						t.Fatalf("workers=%d fresh=%v round=%d: %s result differs from direct call\nwant: %+v\ngot:  %+v",
-							workers, fresh, round, spec.Kind, want[i], got)
-					}
+		s := New(Config{Executors: 2, ScanWorkers: workers})
+		for round := 0; round < 2; round++ {
+			for i, spec := range specs {
+				j, err := s.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.Wait(j)
+				if err != nil {
+					t.Fatalf("workers=%d round=%d %s: %v", workers, round, spec.Kind, err)
+				}
+				if !reflect.DeepEqual(want[i], got) {
+					t.Fatalf("workers=%d round=%d: %s result differs from direct call\nwant: %+v\ngot:  %+v",
+						workers, round, spec.Kind, want[i], got)
 				}
 			}
-			s.Drain()
 		}
+		s.Drain()
 	}
 }
 

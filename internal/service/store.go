@@ -34,9 +34,9 @@ func (c StoreConfig) withDefaults() StoreConfig {
 	return c
 }
 
-// Store is the streaming result store: it owns every job the scheduler has
-// accepted (up to the configured retention bound), streams completions to
-// subscribers, and aggregates the service-level metrics.
+// Store is the result store: it owns every job the scheduler has accepted
+// (up to the configured retention bound) and aggregates the service-level
+// metrics.
 type Store struct {
 	mu   sync.Mutex
 	cfg  StoreConfig
@@ -69,20 +69,13 @@ type Store struct {
 	retries     int
 	shedded     int
 	simSec      float64
-	subs        map[int]chan *Job
-	nextSub     int
-	dropped     int
 }
-
-// NewStore creates an empty store with the default retention bound.
-func NewStore() *Store { return NewBoundedStore(StoreConfig{}) }
 
 // NewBoundedStore creates an empty store with explicit retention bounds.
 func NewBoundedStore(cfg StoreConfig) *Store {
 	st := &Store{
 		cfg:         cfg.withDefaults(),
 		jobs:        make(map[uint64]*Job),
-		subs:        make(map[int]chan *Job),
 		lat:         &obs.Histogram{},
 		kindLat:     make(map[Kind]*obs.Histogram, len(Kinds())),
 		kindDone:    make(map[Kind]uint64, len(Kinds())),
@@ -174,11 +167,10 @@ func (st *Store) setProvenance(j *Job, reusedSession, reusedCalibration bool) {
 }
 
 // complete finishes a job (result or error) after the given number of
-// attempts, updates the aggregates and streams the job to subscribers.
-// Retried jobs record their attempt count and failed jobs their error
-// class. Single-attempt successes record neither, keeping the zero-fault
-// job JSON (and the parity suites' DeepEqual references) bit-identical to
-// the pre-fault-injection service.
+// attempts and updates the aggregates. Retried jobs record their attempt
+// count and failed jobs their error class. Single-attempt successes record
+// neither, keeping the zero-fault job JSON (and the parity suites'
+// DeepEqual references) bit-identical to the pre-fault-injection service.
 func (st *Store) complete(j *Job, res *Result, err error, attempts int) {
 	st.mu.Lock()
 	j.Finished = time.Now()
@@ -214,13 +206,6 @@ func (st *Store) complete(j *Job, res *Result, err error, attempts int) {
 	}
 	st.finished = append(st.finished, j.ID)
 	st.evictLocked(j.Finished)
-	for _, ch := range st.subs {
-		select {
-		case ch <- j:
-		default:
-			st.dropped++ // a slow subscriber never stalls the executors
-		}
-	}
 	st.mu.Unlock()
 	close(j.done)
 }
@@ -243,26 +228,6 @@ func (st *Store) Snapshot(id uint64) (Job, bool) {
 		return Job{}, false
 	}
 	return *j, true
-}
-
-// Subscribe registers a completion stream with the given buffer.
-// Completions arriving while the buffer is full are dropped for that
-// subscriber (counted in Stats.StreamDropped). cancel unregisters.
-func (st *Store) Subscribe(buf int) (stream <-chan *Job, cancel func()) {
-	if buf <= 0 {
-		buf = 16
-	}
-	ch := make(chan *Job, buf)
-	st.mu.Lock()
-	id := st.nextSub
-	st.nextSub++
-	st.subs[id] = ch
-	st.mu.Unlock()
-	return ch, func() {
-		st.mu.Lock()
-		delete(st.subs, id)
-		st.mu.Unlock()
-	}
 }
 
 // Stats is the aggregate service view.
@@ -291,7 +256,6 @@ type Stats struct {
 	Sessions           int `json:"sessions"`
 	CalibrationsReused int `json:"calibrations_reused"`
 	PoolReplicas       int `json:"pool_replicas"`
-	StreamDropped      int `json:"stream_dropped,omitempty"`
 	// Evicted counts finished jobs dropped by the retention policy; their
 	// contribution to the aggregates above is retained.
 	Evicted int `json:"evicted,omitempty"`
@@ -345,7 +309,6 @@ func (st *Store) Stats() Stats {
 		Retries:        st.retries,
 		Shed:           st.shedded,
 		SimAttackerSec: st.simSec,
-		StreamDropped:  st.dropped,
 		Evicted:        st.evicted,
 		Retained:       len(st.jobs),
 	}

@@ -81,17 +81,14 @@ func directSpyResults(t *testing.T, spec JobSpec, windows int, workers int) []*R
 // A stateful behavior-spy session must serve consecutive jobs as
 // consecutive windows of one victim timeline, bit-identical to the direct
 // core-call sequence — including across session reuse, at several
-// scan-worker settings, pooled and fresh.
+// scan-worker settings.
 func TestBehaviorSpyServiceParity(t *testing.T) {
 	spec := JobSpec{Kind: KindBehaviorSpy, Seed: 52, DurationSec: 15}
 	const windows = 3
 
-	for _, v := range []struct {
-		workers int
-		fresh   bool
-	}{{0, false}, {1, true}, {4, false}} {
-		want := directSpyResults(t, spec, windows, v.workers)
-		s := New(Config{Executors: 1, ScanWorkers: v.workers, FreshWorkers: v.fresh})
+	for _, workers := range []int{0, 1, 4} {
+		want := directSpyResults(t, spec, windows, workers)
+		s := New(Config{Executors: 1, ScanWorkers: workers})
 		for w := 0; w < windows; w++ {
 			j, err := s.Submit(spec)
 			if err != nil {
@@ -102,8 +99,8 @@ func TestBehaviorSpyServiceParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want[w], got) {
-				t.Fatalf("workers=%d fresh=%v window %d differs from direct calls\nwant: %+v\ngot:  %+v",
-					v.workers, v.fresh, w, want[w], got)
+				t.Fatalf("workers=%d window %d differs from direct calls\nwant: %+v\ngot:  %+v",
+					workers, w, want[w], got)
 			}
 			snap, _ := s.Store().Snapshot(j.ID)
 			if w > 0 && !snap.ReusedSession {
@@ -138,43 +135,6 @@ func TestAppFingerprintServiceJobs(t *testing.T) {
 				t.Fatalf("%s round %d: window starts at %v, want %v", prof.Name, round, res.WindowStartSec, prevEnd)
 			}
 			prevEnd = res.WindowEndSec
-		}
-	}
-}
-
-// The per-job ScanWorkers override must be validated, must not change
-// results (host parallelism only), and must fall back to the scheduler
-// default when absent.
-func TestPerJobScanWorkersOverride(t *testing.T) {
-	s := New(Config{Executors: 1, ScanWorkers: 0})
-	defer s.Drain()
-
-	intp := func(v int) *int { return &v }
-	if _, err := s.Submit(JobSpec{Kind: KindKernelBase, Seed: 9, ScanWorkers: intp(-1)}); err == nil {
-		t.Fatal("negative scan_workers accepted")
-	}
-	if _, err := s.Submit(JobSpec{Kind: KindKernelBase, Seed: 9, ScanWorkers: intp(MaxJobScanWorkers + 1)}); err == nil {
-		t.Fatal("oversized scan_workers accepted")
-	}
-
-	base := JobSpec{Kind: KindKernelBase, Seed: 9}
-	var results []*Result
-	for _, sw := range []*int{nil, intp(0), intp(3)} {
-		spec := base
-		spec.ScanWorkers = sw
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Wait(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
-	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Fatalf("scan_workers override changed the result:\ndefault: %+v\noverride %d: %+v", results[0], i, results[i])
 		}
 	}
 }
