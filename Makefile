@@ -16,8 +16,10 @@
 #                    fails on any failed or inconsistent job
 #   make ci        - what CI runs: vet + tier-1 + test-race + bench-test +
 #                    bench-smoke
-#   make bench     - the Go micro-benchmarks (machine ops, scan sweeps,
-#                    the defense matrix through the scheduler); prints
+#   make bench     - the Go micro-benchmarks (machine ops, the per-VA and
+#                    batched probes, scan sweeps, the defense matrix
+#                    through the scheduler; root, internal/core and
+#                    internal/service packages); prints
 #                    the results and records nothing. End-to-end numbers
 #                    come from bench/run.sh (see bench/README.md).
 
@@ -53,4 +55,4 @@ bench-smoke:
 	done
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix|BenchmarkExecMasked|BenchmarkProbeMapped|BenchmarkProbeBatch' -benchmem . ./internal/service
+	$(GO) test -run '^$$' -bench 'BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix|BenchmarkExecMasked|BenchmarkProbeMapped|BenchmarkProbeBatch' -benchmem . ./internal/core ./internal/service

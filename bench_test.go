@@ -437,28 +437,6 @@ func BenchmarkProbeMapped(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeBatch measures the batched double-execution probe
-// (Prober.ProbeBatch over a 512-page chunk) — the per-probe host cost the
-// batched sweep pipeline pays, to compare against BenchmarkProbeMapped's
-// one-call-per-VA cost.
-func BenchmarkProbeBatch(b *testing.B) {
-	m := machine.New(uarch.AlderLake12400F(), 1)
-	if _, err := linux.Boot(m, linux.Config{Seed: 1}); err != nil {
-		b.Fatal(err)
-	}
-	p, err := core.NewProber(m, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const chunk = 512
-	cycles := make([]float64, chunk)
-	fast := make([]bool, chunk)
-	b.ResetTimer()
-	for i := 0; i < b.N; i += chunk {
-		p.ProbeBatch(linux.ModuleRegionBase, chunk, paging.Page4K, cycles, fast)
-	}
-}
-
 // BenchmarkExecMasked measures one simulated masked load.
 func BenchmarkExecMasked(b *testing.B) {
 	m := machine.New(uarch.IceLake1065G7(), 1)

@@ -52,6 +52,11 @@
 //	GET  /metrics    Prometheus text exposition
 //	POST /drain      graceful drain (finish queued work, refuse new jobs)
 //
+// POST /jobs rejects unknown fields: a body naming a field the job spec
+// does not have (a misspelt "entropy_bit", the removed "scan_workers") is
+// answered 400 with the field's name and never submitted, instead of
+// running the job on that field's default.
+//
 // SIGINT/SIGTERM also drain before exiting, and the exit summary prints
 // the final stats.
 package main

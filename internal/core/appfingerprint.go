@@ -103,7 +103,7 @@ func (f *AppFingerprinter) init() ([]watchEntry, error) {
 // leading pages probed TLB-hot. Same canonical tick shape as the behavior
 // spy's: reset, driver replay, clock advance, probes, eviction — and the
 // same batched per-target sweep (ProbeTLBBatch into prober-owned windows,
-// bit-identical to the per-page loop, zero steady-state allocations).
+// zero steady-state allocations).
 func (f *AppFingerprinter) tick(p *Prober, d *behavior.Driver, watch []watchEntry, t float64) uint64 {
 	m := p.M
 	m.ResetTranslationState()
@@ -143,12 +143,14 @@ type fpWorker struct {
 	t0    float64
 }
 
-func (w *fpWorker) Probe(va paging.VirtAddr) scan.Sample[uint64] {
-	mask := w.f.tick(w.p, w.d, w.watch, w.t0+float64(uint64(va))*w.f.TickSec)
-	return scan.Sample[uint64]{Cycles: float64(mask), Verdict: mask}
+// ProbeChunk runs the chunk's ticks in order, like spyWorker's.
+func (w *fpWorker) ProbeChunk(_ paging.VirtAddr, _ uint64, lo, hi int,
+	_ func(int) bool, verdicts []uint64, cycles []float64) {
+	for i := lo; i < hi; i++ {
+		mask := w.f.tick(w.p, w.d, w.watch, w.t0+float64(i)*w.f.TickSec)
+		verdicts[i-lo], cycles[i-lo] = mask, float64(mask)
+	}
 }
-
-func (w *fpWorker) Classify(float64) uint64 { return 0 } // healing disabled
 
 // Classify runs the observation loop against a victim driver from time 0
 // and returns the best-matching profile.

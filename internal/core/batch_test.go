@@ -5,14 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/linux"
+	"repro/internal/machine"
 	"repro/internal/paging"
+	"repro/internal/uarch"
 )
 
-// ProbeBatch must be bit-identical to the equivalent ProbeMapped loop:
-// same machine state, same noise draws, same decision values and verdicts,
-// same simulated clock afterwards. Two victims booted from the same seed
-// give two probers in identical post-calibration state; one probes per VA,
-// the other in one batch.
+// The batched double-execution window must be bit-identical to the
+// reference per-VA ProbeMapped loop (reference_test.go): same machine
+// state, same noise draws, same decision values and verdicts, same
+// simulated clock afterwards. Two victims booted from the same seed give
+// two probers in identical post-calibration state; one probes per VA, the
+// other in one window.
 func TestProbeBatchMatchesProbeMapped(t *testing.T) {
 	const seed = 77
 	const pages = 512
@@ -22,17 +25,18 @@ func TestProbeBatchMatchesProbeMapped(t *testing.T) {
 		{ExtraJitterSigma: 2.5},
 	} {
 		loop, _ := engineProberOpt(t, seed, opt)
+		ref := &refProber{Prober: loop}
 		batch, _ := engineProberOpt(t, seed, opt)
 
 		wantC := make([]float64, pages)
 		wantF := make([]bool, pages)
 		for i := 0; i < pages; i++ {
-			pr := loop.ProbeMapped(linux.ModuleRegionBase + paging.VirtAddr(uint64(i)<<12))
+			pr := ref.ProbeMapped(linux.ModuleRegionBase + paging.VirtAddr(uint64(i)<<12))
 			wantC[i], wantF[i] = pr.Cycles, pr.Fast
 		}
 		gotC := make([]float64, pages)
 		gotF := make([]bool, pages)
-		batch.ProbeBatch(linux.ModuleRegionBase, pages, paging.Page4K, gotC, gotF)
+		batch.probeBatchWindow(false, linux.ModuleRegionBase, paging.Page4K, 0, pages, nil, gotC, gotF)
 
 		if !reflect.DeepEqual(wantC, gotC) || !reflect.DeepEqual(wantF, gotF) {
 			t.Fatalf("opt %+v: batched probe output differs from ProbeMapped loop", opt)
@@ -46,22 +50,24 @@ func TestProbeBatchMatchesProbeMapped(t *testing.T) {
 	}
 }
 
-// The store variant must match a ProbeMappedStore loop the same way.
+// The store window must match a reference ProbeMappedStore loop the same
+// way.
 func TestProbeBatchStoreMatchesProbeMappedStore(t *testing.T) {
 	const seed = 78
 	const pages = 512
 	loop, _ := engineProber(t, seed, 0)
+	ref := &refProber{Prober: loop}
 	batch, _ := engineProber(t, seed, 0)
 
 	wantC := make([]float64, pages)
 	wantF := make([]bool, pages)
 	for i := 0; i < pages; i++ {
-		pr := loop.ProbeMappedStore(linux.ModuleRegionBase + paging.VirtAddr(uint64(i)<<12))
+		pr := ref.ProbeMappedStore(linux.ModuleRegionBase + paging.VirtAddr(uint64(i)<<12))
 		wantC[i], wantF[i] = pr.Cycles, pr.Fast
 	}
 	gotC := make([]float64, pages)
 	gotF := make([]bool, pages)
-	batch.ProbeBatchStore(linux.ModuleRegionBase, pages, paging.Page4K, gotC, gotF)
+	batch.probeBatchWindow(true, linux.ModuleRegionBase, paging.Page4K, 0, pages, nil, gotC, gotF)
 
 	if !reflect.DeepEqual(wantC, gotC) || !reflect.DeepEqual(wantF, gotF) {
 		t.Fatal("batched store probe output differs from ProbeMappedStore loop")
@@ -78,17 +84,54 @@ func TestProbeBatchZeroAllocSteadyState(t *testing.T) {
 	const pages = 256
 	cycles := make([]float64, pages)
 	fast := make([]bool, pages)
-	p.ProbeBatch(linux.ModuleRegionBase, pages, paging.Page4K, cycles, fast) // warm scratch
-	if n := testing.AllocsPerRun(20, func() {
-		p.ProbeBatch(linux.ModuleRegionBase, pages, paging.Page4K, cycles, fast)
-	}); n > 0 {
-		t.Errorf("ProbeBatch allocates %.1f/op at steady state, want 0", n)
+	for _, store := range []bool{false, true} {
+		p.probeBatchWindow(store, linux.ModuleRegionBase, paging.Page4K, 0, pages, nil, cycles, fast) // warm scratch
+		if n := testing.AllocsPerRun(20, func() {
+			p.probeBatchWindow(store, linux.ModuleRegionBase, paging.Page4K, 0, pages, nil, cycles, fast)
+		}); n > 0 {
+			t.Errorf("probeBatchWindow(store=%v) allocates %.1f/op at steady state, want 0", store, n)
+		}
 	}
-	p.ProbeBatchStore(linux.ModuleRegionBase, pages, paging.Page4K, cycles, fast)
-	if n := testing.AllocsPerRun(20, func() {
-		p.ProbeBatchStore(linux.ModuleRegionBase, pages, paging.Page4K, cycles, fast)
-	}); n > 0 {
-		t.Errorf("ProbeBatchStore allocates %.1f/op at steady state, want 0", n)
+}
+
+// The per-VA probes are one-index windows with their own one-element
+// result windows: those stay on the stack, so a per-VA probe allocates
+// nothing either.
+func TestPerVAProbesZeroAlloc(t *testing.T) {
+	p, k := engineProber(t, 80, 0)
+	probes := map[string]func(){
+		"ProbeMapped":      func() { p.ProbeMapped(k.Base) },
+		"ProbeMappedStore": func() { p.ProbeMappedStore(k.Base) },
+		"ProbeTLB":         func() { p.ProbeTLB(k.Base) },
+		"ProbeTermLevel":   func() { p.ProbeTermLevel(k.Base, 3) },
+	}
+	for name, probe := range probes {
+		probe() // warm scratch
+		if n := testing.AllocsPerRun(100, probe); n > 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", name, n)
+		}
+	}
+}
+
+// BenchmarkProbeBatch measures the batched double-execution probe
+// (probeBatchWindow over a 512-page window) — the per-probe host cost every
+// mapped sweep chunk pays, to compare against the root
+// BenchmarkProbeMapped's one-index window per call.
+func BenchmarkProbeBatch(b *testing.B) {
+	m := machine.New(uarch.AlderLake12400F(), 1)
+	if _, err := linux.Boot(m, linux.Config{Seed: 1}); err != nil {
+		b.Fatal(err)
+	}
+	p, err := NewProber(m, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const chunk = 512
+	cycles := make([]float64, chunk)
+	fast := make([]bool, chunk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i += chunk {
+		p.probeBatchWindow(false, linux.ModuleRegionBase, paging.Page4K, 0, chunk, nil, cycles, fast)
 	}
 }
 

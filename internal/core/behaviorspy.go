@@ -112,9 +112,8 @@ func (s *BehaviorSpy) init() error {
 // runs it never matters, the property the sharded sweep rests on.
 //
 // Each target's leading-page sweep goes through ProbeTLBBatch into
-// prober-owned windows — bit-identical to the per-page ProbeTLB loop it
-// replaces, with the per-probe plumbing hoisted and zero steady-state
-// allocations (the alloc-guard tests pin this).
+// prober-owned windows, with the per-probe plumbing paid once per target
+// and zero steady-state allocations (the alloc-guard tests pin this).
 func (s *BehaviorSpy) tick(p *Prober, d *behavior.Driver, t float64) tickObs {
 	m := p.M
 	m.ResetTranslationState()
@@ -165,12 +164,15 @@ type spyWorker struct {
 	t0  float64
 }
 
-func (w *spyWorker) Probe(va paging.VirtAddr) scan.Sample[tickObs] {
-	obs := w.spy.tick(w.p, w.d, w.t0+float64(uint64(va))*w.spy.TickSec)
-	return scan.Sample[tickObs]{Cycles: obs.min[0], Verdict: obs}
+// ProbeChunk runs the chunk's ticks in order. Temporal sweeps skip nothing
+// and ignore the address axis: index i is tick i.
+func (w *spyWorker) ProbeChunk(_ paging.VirtAddr, _ uint64, lo, hi int,
+	_ func(int) bool, verdicts []tickObs, cycles []float64) {
+	for i := lo; i < hi; i++ {
+		obs := w.spy.tick(w.p, w.d, w.t0+float64(i)*w.spy.TickSec)
+		verdicts[i-lo], cycles[i-lo] = obs, obs.min[0]
+	}
 }
-
-func (w *spyWorker) Classify(float64) tickObs { return tickObs{} } // healing disabled
 
 // Run replays the experiment for duration seconds against the victim
 // driver from time 0: each tick the victim acts per its timelines, then the

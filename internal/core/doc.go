@@ -12,6 +12,14 @@
 //   - the permission attack (Prober.ProbePerm) classifies page
 //     permissions with paired masked-load/masked-store probes (P5).
 //
+// Each primitive has one probing path. A per-VA probe (ProbeMapped,
+// ProbeMappedStore, ProbeTLB, ProbeTermLevel) is its batch window over a
+// single index — the same window every scan chunk runs over many indices
+// (probeBatchWindow, ProbeTLBBatch, probeTermBatchWindow) — with its own
+// one-element result windows, so a per-VA probe and a sweep cannot drift
+// apart. reference_test.go holds one-op-at-a-time probe loops over
+// machine.Measure as the differential reference for both.
+//
 // On top of the primitives, the package provides the end-to-end attacks the
 // paper evaluates: KernelBase (§IV-B), Modules (§IV-C), KPTIBreak (§IV-D),
 // BehaviorSpy (§IV-E), UserScan/LibraryFingerprint incl. SGX (§IV-F),

@@ -112,10 +112,9 @@ type Prober struct {
 	scratchVA  paging.VirtAddr
 	faults     int
 
-	// sampleBuf and sortBuf are per-probe scratch buffers, reused so the
-	// multi-sample probe and reduction paths do not allocate per probe.
-	sampleBuf []float64
-	sortBuf   []float64
+	// sortBuf is the trimmed-mean reduction's scratch, reused so the
+	// reduction does not allocate per probe.
+	sortBuf []float64
 	// scanEpoch salts the engine seed per ScanMapped call so consecutive
 	// scans on one prober draw independent noise.
 	scanEpoch uint64
@@ -124,7 +123,10 @@ type Prober struct {
 	// scans): the masked-op slice handed to machine.MeasureBatch, the
 	// window-relative positions of the probed ops, the raw per-sample
 	// measurements, the reduced decision values, and the per-window fast
-	// flags. Sized to the largest chunk the prober has probed.
+	// flags. Sized to the largest window the prober has probed. The first
+	// four live only for one window call; batchFast (and tickCyc) are
+	// result windows callers hold across calls, so the per-VA probes never
+	// write into them.
 	batchOps  []avx.Op
 	batchPos  []int
 	batchMeas []float64
@@ -198,11 +200,10 @@ func (p *Prober) Calibrate() error {
 		// Slow-class sample: the scratch addresses are unmapped now, so
 		// probing them times the walk+assist path without touching any
 		// foreign memory.
-		slowRaw := make([]float64, 0, n)
-		for i := 0; i < n; i++ {
-			va := p.scratchVA + paging.VirtAddr(i*paging.Page4K)
-			slowRaw = append(slowRaw, p.measureLoad(va))
-		}
+		// One timed load per page, no warm-up: the TLB attack's op
+		// sequence.
+		slowRaw := make([]float64, n)
+		p.ProbeTLBBatch(p.scratchVA, n, paging.Page4K, slowRaw, make([]bool, n))
 		slow := p.reduceGroups(slowRaw)
 		// 0.3 of the way to the slow class: first-fast-slot scans give
 		// the slow class ~500 error opportunities against the fast
@@ -372,28 +373,6 @@ func (p *Prober) reduce(xs []float64) float64 {
 // (must stay zero: suppression is the attack's point; tests assert this).
 func (p *Prober) Faults() int { return p.faults }
 
-// measureLoad measures one all-zero-mask masked load at va.
-func (p *Prober) measureLoad(va paging.VirtAddr) float64 {
-	t, r := p.M.Measure(avx.MaskedLoad(va, avx.ZeroMask))
-	if r.Faulted {
-		p.faults++
-	}
-	if p.Opt.ExtraJitterSigma > 0 {
-		// Coarser timer: model as widened quantization jitter.
-		t += p.Opt.ExtraJitterSigma
-	}
-	return t
-}
-
-// measureStore measures one all-zero-mask masked store at va.
-func (p *Prober) measureStore(va paging.VirtAddr) float64 {
-	t, r := p.M.Measure(avx.MaskedStore(va, avx.ZeroMask))
-	if r.Faulted {
-		p.faults++
-	}
-	return t
-}
-
 // ProbeResult is one page-probe outcome.
 type ProbeResult struct {
 	VA paging.VirtAddr
@@ -406,76 +385,62 @@ type ProbeResult struct {
 // ProbeMapped runs the page-table attack (P2) at va: execute the masked
 // load twice and measure the second run. On Intel, a mapped kernel page's
 // translation is TLB-resident by the second run (fast); an unmapped page
-// walks every time (slow). Never faults (P1: all-zero mask).
+// walks every time (slow). Never faults (P1: all-zero mask). It is the
+// one-index window of probeBatchWindow, the primitive every mapped sweep
+// chunk runs.
 func (p *Prober) ProbeMapped(va paging.VirtAddr) ProbeResult {
-	// First execution: populate TLB/PSC (its timing is discarded).
-	p.M.ExecMasked(avx.MaskedLoad(va, avx.ZeroMask))
-	k := p.Opt.ProbeSamples
-	if k == 1 {
-		t := p.measureLoad(va)
-		return ProbeResult{VA: va, Cycles: t, Fast: p.Threshold.Classify(t)}
-	}
-	xs := p.samples(k)
-	for s := 0; s < k; s++ {
-		xs[s] = p.measureLoad(va)
-	}
-	v := p.reduce(xs)
-	return ProbeResult{VA: va, Cycles: v, Fast: p.Threshold.Classify(v)}
-}
-
-// samples returns the reusable k-element sample scratch buffer.
-func (p *Prober) samples(k int) []float64 {
-	if cap(p.sampleBuf) < k {
-		p.sampleBuf = make([]float64, k)
-	}
-	return p.sampleBuf[:k]
+	return p.probeOne(false, va)
 }
 
 // ProbeMappedStore is ProbeMapped using masked stores (P6: slightly faster;
-// used by the §IV-F store-scan variant).
+// used by the §IV-F store-scan variant). The permission attack needs the
+// store-specific threshold: a store assist on a read-only page is cheaper
+// than a load assist (P6) and would pass the load threshold.
 func (p *Prober) ProbeMappedStore(va paging.VirtAddr) ProbeResult {
-	p.M.ExecMasked(avx.MaskedStore(va, avx.ZeroMask))
-	k := p.Opt.ProbeSamples
-	xs := p.samples(k)
-	for s := 0; s < k; s++ {
-		xs[s] = p.measureStore(va)
-	}
-	best := p.reduce(xs)
-	// The permission attack needs the store-specific threshold: a store
-	// assist on a read-only page is cheaper than a load assist (P6) and
-	// would pass the load threshold.
-	return ProbeResult{VA: va, Cycles: best, Fast: p.StoreThreshold.Classify(best)}
+	return p.probeOne(true, va)
 }
 
-// ProbeBatch probes n pages from start at the given stride with the
-// double-execution page-table attack (P2) — the batched form of a
-// ProbeMapped loop, bit-identical to it for the same machine state and
-// noise stream, with the per-probe overhead (op plumbing, noise-sigma
-// composition, sample reduction setup) amortized across the batch through
-// machine.MeasureBatch. cycles[i] receives page i's decision measurement
-// and fast[i] its threshold verdict; both slices must have length >= n.
-func (p *Prober) ProbeBatch(start paging.VirtAddr, n int, stride uint64, cycles []float64, fast []bool) {
-	p.probeBatchWindow(false, start, stride, 0, n, nil, cycles, fast)
+// probeOne runs probeBatchWindow over the single index va with its own
+// one-element result windows — never the prober's batchFast, which a
+// chunk or tick caller may be holding.
+func (p *Prober) probeOne(store bool, va paging.VirtAddr) ProbeResult {
+	var cycles [1]float64
+	var fast [1]bool
+	p.probeBatchWindow(store, va, 0, 0, 1, nil, cycles[:], fast[:])
+	return ProbeResult{VA: va, Cycles: cycles[0], Fast: fast[0]}
 }
 
-// ProbeBatchStore is ProbeBatch with the masked-store attack (P5/P6):
-// verdicts classify against the store threshold, like ProbeMappedStore.
-func (p *Prober) ProbeBatchStore(start paging.VirtAddr, n int, stride uint64, cycles []float64, fast []bool) {
-	p.probeBatchWindow(true, start, stride, 0, n, nil, cycles, fast)
-}
-
-// probeBatchWindow is the one batched probing primitive under ProbeBatch,
-// ProbeBatchStore and every batched scan-engine chunk: it double-execution
-// probes the non-skipped indices of [lo, hi) (page i at start + i*stride),
-// writing each probed index's decision measurement into cycles[i-lo] and
-// its threshold verdict into fast[i-lo], and returns the window-relative
-// positions probed. Skipped indices consume no probe and no noise, and
-// their window entries are left untouched. The probe sequence per index —
-// one warm-up execution, ProbeSamples measured executions, jitter, then
-// reduction — is exactly ProbeMapped's (ProbeMappedStore's for store), so
-// the batched path is bit-identical to the per-VA one.
+// probeBatchWindow is the one double-execution probing primitive under
+// ProbeMapped, ProbeMappedStore and every mapped, store and fused scan
+// chunk: it probes the non-skipped indices of [lo, hi) (page i at
+// start + i*stride), writing each probed index's decision measurement into
+// cycles[i-lo] and its threshold verdict into fast[i-lo] (the store
+// threshold for store probes), and returns the window-relative positions
+// probed. Skipped indices consume no probe and no noise, and their window
+// entries are left untouched. The probe sequence per index is one warm-up
+// execution, ProbeSamples measured executions, jitter (loads only), then
+// reduction.
 func (p *Prober) probeBatchWindow(store bool, start paging.VirtAddr, stride uint64, lo, hi int,
 	skip func(int) bool, cycles []float64, fast []bool) []int {
+	ops, pos := p.windowOps(store, start, stride, lo, hi, skip)
+	vals := p.measureBatch(ops, !store)
+	thr := &p.Threshold
+	if store {
+		thr = &p.StoreThreshold
+	}
+	for j, v := range vals {
+		cycles[pos[j]] = v
+		fast[pos[j]] = thr.Classify(v)
+	}
+	return pos
+}
+
+// windowOps builds, in the prober's op scratch, one all-zero-mask masked
+// op — a store when store is set, a load otherwise — for each non-skipped
+// index of [lo, hi), page i at start + i*stride, and returns the ops with
+// their window-relative positions.
+func (p *Prober) windowOps(store bool, start paging.VirtAddr, stride uint64, lo, hi int,
+	skip func(int) bool) ([]avx.Op, []int) {
 	n := hi - lo
 	if cap(p.batchOps) < n {
 		p.batchOps = make([]avx.Op, 0, n)
@@ -494,29 +459,26 @@ func (p *Prober) probeBatchWindow(store bool, start paging.VirtAddr, stride uint
 		}
 		pos = append(pos, i-lo)
 	}
-	vals := p.measureBatch(ops, !store)
-	thr := &p.Threshold
-	if store {
-		thr = &p.StoreThreshold
+	return ops, pos
+}
+
+// measWindow returns the raw-measurement scratch, sized to n samples.
+func (p *Prober) measWindow(n int) []float64 {
+	if cap(p.batchMeas) < n {
+		p.batchMeas = make([]float64, n)
 	}
-	for j, v := range vals {
-		cycles[pos[j]] = v
-		fast[pos[j]] = thr.Classify(v)
-	}
-	return pos
+	return p.batchMeas[:n]
 }
 
 // measureBatch measures every op with the double-execution probe (one
 // warm-up, ProbeSamples measured runs) and reduces each op's samples to its
 // decision value with the configured estimator, returning one value per op
-// in a reused buffer. Load probes add the configured extra timer jitter per
-// sample, like measureLoad; store probes do not, like measureStore.
+// in a reused buffer. Load probes add the configured extra timer jitter
+// (a coarser timer, modelled as widened quantization) to every sample;
+// store probes do not.
 func (p *Prober) measureBatch(ops []avx.Op, loadJitter bool) []float64 {
 	k := p.Opt.ProbeSamples
-	if need := len(ops) * k; cap(p.batchMeas) < need {
-		p.batchMeas = make([]float64, need)
-	}
-	meas := p.batchMeas[:len(ops)*k]
+	meas := p.measWindow(len(ops) * k)
 	p.faults += p.M.MeasureBatch(ops, 1, k, meas)
 	if cap(p.batchVals) < len(ops) {
 		p.batchVals = make([]float64, len(ops))
@@ -553,59 +515,36 @@ type TermProbe struct {
 }
 
 // ProbeTermLevel runs the page-table-level attack (P3) at va: evict the
-// translation caches and page-table lines, then time a masked load. The
-// latency now reflects the number of paging structures the walk reads —
-// a walk that reaches a PT (4 KiB-mapped or 4 KiB-structured region) reads
-// one more cold line than one stopping at the PD. Used on AMD (§IV-B),
-// where mapped kernel pages never enter the TLB.
+// translation caches and page-table lines, then time a masked load, samples
+// times, keeping the minimum. The latency now reflects the number of paging
+// structures the walk reads — a walk that reaches a PT (4 KiB-mapped or
+// 4 KiB-structured region) reads one more cold line than one stopping at
+// the PD. Used on AMD (§IV-B), where mapped kernel pages never enter the
+// TLB. It is the one-index window of probeTermBatchWindow, the primitive
+// every term-level sweep chunk runs.
 func (p *Prober) ProbeTermLevel(va paging.VirtAddr, samples int) TermProbe {
-	if samples <= 0 {
-		samples = 1
-	}
-	best := 0.0
-	for s := 0; s < samples; s++ {
-		p.M.EvictTranslation(va)
-		t := p.measureLoad(va)
-		if s == 0 || t < best {
-			best = t
-		}
-	}
-	return TermProbe{VA: va, Cycles: best}
+	var cycles [1]float64
+	var verdict [1]bool
+	p.probeTermBatchWindow(va, 0, 0, 1, nil, samples, 0, cycles[:], verdict[:])
+	return TermProbe{VA: va, Cycles: cycles[0]}
 }
 
-// probeTermBatchWindow is the batched form of a ProbeTermLevel loop over
-// the non-skipped indices of [lo, hi): each index's samples eviction+measure
-// pairs run through machine.MeasureEvictedBatch (bit-identical to the
-// per-VA loop — same eviction sequence, same noise draws, same clock
-// charges), then reduce by minimum exactly as ProbeTermLevel does. cycles
-// and verdicts receive the window-relative results; verdict = cycles above
-// the walk-termination threshold. Skipped indices consume no eviction, no
-// probe and no noise.
+// probeTermBatchWindow is the walk-termination probing primitive under
+// ProbeTermLevel and every term-level sweep chunk: for each non-skipped
+// index of [lo, hi), samples eviction+measure pairs run through
+// machine.MeasureEvictedBatch and reduce by minimum (samples <= 0 means 1).
+// cycles and verdicts receive the window-relative results; verdict = cycles
+// above the walk-termination threshold. Skipped indices consume no
+// eviction, no probe and no noise.
 func (p *Prober) probeTermBatchWindow(start paging.VirtAddr, stride uint64, lo, hi int,
 	skip func(int) bool, samples int, threshold float64, cycles []float64, verdicts []bool) {
 	if samples <= 0 {
 		samples = 1
 	}
-	n := hi - lo
-	if cap(p.batchOps) < n {
-		p.batchOps = make([]avx.Op, 0, n)
-		p.batchPos = make([]int, 0, n)
-	}
-	ops, pos := p.batchOps[:0], p.batchPos[:0]
-	for i := lo; i < hi; i++ {
-		if skip != nil && skip(i) {
-			continue
-		}
-		va := start + paging.VirtAddr(uint64(i)*stride)
-		ops = append(ops, avx.MaskedLoad(va, avx.ZeroMask))
-		pos = append(pos, i-lo)
-	}
-	if need := len(ops) * samples; cap(p.batchMeas) < need {
-		p.batchMeas = make([]float64, need)
-	}
-	meas := p.batchMeas[:len(ops)*samples]
+	ops, pos := p.windowOps(false, start, stride, lo, hi, skip)
+	meas := p.measWindow(len(ops) * samples)
 	p.faults += p.M.MeasureEvictedBatch(ops, samples, meas)
-	// measureLoad adds the extra timer jitter to every sample; a constant
+	// Load probes add the extra timer jitter to every sample; a constant
 	// addend commutes with the min reduction.
 	jitter := p.Opt.ExtraJitterSigma
 	for j := range ops {
@@ -640,37 +579,28 @@ func (p *Prober) ScanMapped(start paging.VirtAddr, n int, stride uint64) ([]bool
 // ProbeTLB runs the TLB attack (P4) at va: a single timed masked load.
 // If the kernel recently used the page, its translation is TLB-resident
 // and the probe is fast; otherwise the probe walks. The caller controls
-// eviction (evict → let victim run → probe).
+// eviction (evict → let victim run → probe). It is the one-index window of
+// ProbeTLBBatch.
 func (p *Prober) ProbeTLB(va paging.VirtAddr) ProbeResult {
-	t := p.measureLoad(va)
-	return ProbeResult{VA: va, Cycles: t, Fast: p.Threshold.Classify(t)}
+	var cycles [1]float64
+	var fast [1]bool
+	p.ProbeTLBBatch(va, 1, 0, cycles[:], fast[:])
+	return ProbeResult{VA: va, Cycles: cycles[0], Fast: fast[0]}
 }
 
 // ProbeTLBBatch runs the TLB attack (P4) over n pages from start at the
-// given stride — the batched form of a ProbeTLB loop, bit-identical to it
-// for the same machine state and noise stream: one timed masked load per
-// page, in page order, no warm-up execution (the attack's whole point is
-// reading the translation state the *victim* left behind). The op plumbing
-// and noise-sigma composition are paid once per batch through
+// given stride: one timed masked load per page, in page order, no warm-up
+// execution (the attack's whole point is reading the translation state the
+// *victim* left behind). The op plumbing is paid once per batch through
 // machine.MeasureBatch, and all scratch lives on the prober, so the
 // temporal tick loops (behavior spy, app fingerprinting) probe their
 // per-target leading pages without allocating. cycles[i] receives page i's
 // measurement and fast[i] its threshold verdict; both must have length >= n.
 func (p *Prober) ProbeTLBBatch(start paging.VirtAddr, n int, stride uint64, cycles []float64, fast []bool) {
-	if cap(p.batchOps) < n {
-		p.batchOps = make([]avx.Op, 0, n)
-		p.batchPos = make([]int, 0, n)
-	}
-	ops := p.batchOps[:0]
-	for i := 0; i < n; i++ {
-		ops = append(ops, avx.MaskedLoad(start+paging.VirtAddr(uint64(i)*stride), avx.ZeroMask))
-	}
-	if cap(p.batchMeas) < n {
-		p.batchMeas = make([]float64, n)
-	}
-	meas := p.batchMeas[:n]
+	ops, _ := p.windowOps(false, start, stride, 0, n, nil)
+	meas := p.measWindow(n)
 	p.faults += p.M.MeasureBatch(ops, 0, 1, meas)
-	// measureLoad widens every load sample by the configured timer jitter.
+	// Load probes widen every sample by the configured timer jitter.
 	jitter := p.Opt.ExtraJitterSigma
 	for i, v := range meas {
 		v += jitter

@@ -133,28 +133,24 @@ func (w *workerBase) Elapsed() uint64 { return w.p.M.RDTSC() - w.t0 }
 // verdict = "translation resolved fast" (mapped).
 type mappedWorker struct{ workerBase }
 
-func (w *mappedWorker) Probe(va paging.VirtAddr) scan.Sample[bool] {
-	pr := w.p.ProbeMapped(va)
-	return scan.Sample[bool]{Cycles: pr.Cycles, Verdict: pr.Fast}
-}
-
 // ProbeChunk hands the whole chunk to the batched probe primitive; the
 // verdict window doubles as the fast-flag buffer, so results land directly
 // in the engine's per-shard result windows.
 func (w *mappedWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, skipV bool, verdicts []bool, cycles []float64) {
-	if skip != nil {
-		for i := lo; i < hi; i++ {
-			if skip(i) {
-				verdicts[i-lo] = skipV
-			}
-		}
-	}
+	skip func(int) bool, verdicts []bool, cycles []float64) {
 	w.p.probeBatchWindow(false, start, stride, lo, hi, skip, cycles, verdicts)
 }
 
-func (w *mappedWorker) Classify(cycles float64) bool {
-	return w.p.Threshold.Classify(cycles)
+// HealProbe merges the minimum of samples re-probes with the first-pass
+// measurement and re-classifies it.
+func (w *mappedWorker) HealProbe(va paging.VirtAddr, samples int, cycles float64, _ bool) (float64, bool) {
+	best := cycles
+	for s := 0; s < samples; s++ {
+		if pr := w.p.ProbeMapped(va); pr.Cycles < best {
+			best = pr.Cycles
+		}
+	}
+	return best, w.p.Threshold.Classify(best)
 }
 
 func storeClass(fast bool) PermClass {
@@ -176,9 +172,7 @@ func storeClass(fast bool) PermClass {
 // Determinism: the chunk's load and store measurements draw from two
 // separate noise streams derived from the chunk seed, so a page's store
 // noise does not depend on how many pages before it were mapped — the
-// sweep stays bit-identical at any worker count, pooled or fresh. The
-// engine drives chunks through ProbeChunk and heals through HealProbe;
-// Probe/Classify exist to satisfy the Worker interface.
+// sweep stays bit-identical at any worker count, pooled or fresh.
 type fusedWorker struct {
 	workerBase
 	loadNoise  rng.Source
@@ -216,17 +210,10 @@ func (w *fusedWorker) Start(chunkSeed uint64) {
 func (w *fusedWorker) storeSkip(i int) bool { return !w.fb[i-w.lo] }
 
 func (w *fusedWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, skipV PermClass, verdicts []PermClass, cycles []float64) {
+	skip func(int) bool, verdicts []PermClass, cycles []float64) {
 	p := w.p
 	fb := p.fastWindow(hi - lo)
-	if skip != nil {
-		for i := lo; i < hi; i++ {
-			if skip(i) {
-				verdicts[i-lo] = skipV
-				fb[i-lo] = false // keep the store sub-pass off skipped pages
-			}
-		}
-	}
+	clear(fb) // skipped pages stay false: the store sub-pass skips them too
 	t0 := p.M.RDTSC()
 	orig := p.M.SwapNoise(&w.loadNoise)
 	w.fb, w.lo = fb, lo
@@ -292,32 +279,6 @@ func (w *fusedWorker) HealProbe(va paging.VirtAddr, samples int, cycles float64,
 	return sbest, storeClass(p.StoreThreshold.Classify(sbest))
 }
 
-// Probe runs the fused probe for a single VA (the engine drives whole
-// chunks through ProbeChunk; this exists for the Worker interface).
-func (w *fusedWorker) Probe(va paging.VirtAddr) scan.Sample[PermClass] {
-	orig := w.p.M.SwapNoise(&w.loadNoise)
-	pr := w.p.ProbeMapped(va)
-	if !pr.Fast {
-		w.p.M.SwapNoise(orig)
-		return scan.Sample[PermClass]{Cycles: pr.Cycles, Verdict: PermUnmapped}
-	}
-	w.p.M.SwapNoise(&w.storeNoise)
-	spr := w.p.ProbeMappedStore(va)
-	w.p.M.SwapNoise(orig)
-	return scan.Sample[PermClass]{Cycles: spr.Cycles, Verdict: storeClass(spr.Fast)}
-}
-
-// Classify approximates a verdict from one measurement under the fused
-// Cycles convention (load value for unmapped pages, store value for
-// mapped). The engine never calls it for fused sweeps — healing goes
-// through HealProbe, which re-derives the two-channel verdict itself.
-func (w *fusedWorker) Classify(cycles float64) PermClass {
-	if !w.p.Threshold.Classify(cycles) {
-		return PermUnmapped
-	}
-	return storeClass(w.p.StoreThreshold.Classify(cycles))
-}
-
 // termWorker probes with the walk-termination-level attack (P3): verdict =
 // "the boundary walk reaches a PT" (a 4 KiB-structured slot).
 type termWorker struct {
@@ -326,28 +287,13 @@ type termWorker struct {
 	threshold float64
 }
 
-func (w *termWorker) Probe(va paging.VirtAddr) scan.Sample[bool] {
-	tp := w.p.ProbeTermLevel(va, w.samples)
-	return scan.Sample[bool]{Cycles: tp.Cycles, Verdict: tp.Cycles > w.threshold}
-}
-
 // ProbeChunk batches the chunk's eviction+measure pairs through
 // machine.MeasureEvictedBatch — the Zen 3 term-level sweep's counterpart of
-// the mapped/store sweeps' batched chunks, bit-identical to the per-VA
-// ProbeTermLevel loop.
+// the mapped/store sweeps' batched chunks.
 func (w *termWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, skipV bool, verdicts []bool, cycles []float64) {
-	if skip != nil {
-		for i := lo; i < hi; i++ {
-			if skip(i) {
-				verdicts[i-lo] = skipV
-			}
-		}
-	}
+	skip func(int) bool, verdicts []bool, cycles []float64) {
 	w.p.probeTermBatchWindow(start, stride, lo, hi, skip, w.samples, w.threshold, cycles, verdicts)
 }
-
-func (w *termWorker) Classify(cycles float64) bool { return cycles > w.threshold }
 
 // runSweep is the one scan path every sharded sweep takes — large VA
 // ranges (probe indices are pages/slots) and temporal attacks alike (probe

@@ -110,9 +110,9 @@ func TestNewProberFromCalibrationMatchesFresh(t *testing.T) {
 	}
 }
 
-// The batched term-level chunk must be bit-identical to the per-VA
-// ProbeTermLevel loop it replaced (the AMD ROADMAP follow-up): same
-// minima, same verdicts, same simulated clock.
+// The batched term-level window must be bit-identical to the reference
+// per-VA ProbeTermLevel loop (reference_test.go): same minima, same
+// verdicts, same simulated clock.
 func TestProbeTermBatchMatchesPerVALoop(t *testing.T) {
 	build := func() *Prober {
 		m := machine.New(uarch.Zen3_5600X(), 888)
@@ -134,10 +134,11 @@ func TestProbeTermBatchMatchesPerVALoop(t *testing.T) {
 	thr := pLoop.PTTermThreshold()
 	pLoop.M.ReseedNoise(12345)
 	pLoop.M.ResetTranslationState()
+	ref := &refProber{Prober: pLoop}
 	wantCycles := make([]float64, n)
 	wantVerdicts := make([]bool, n)
 	for i := 0; i < n; i++ {
-		tp := pLoop.ProbeTermLevel(start+paging.VirtAddr(uint64(i)*stride), samples)
+		tp := ref.ProbeTermLevel(start+paging.VirtAddr(uint64(i)*stride), samples)
 		wantCycles[i] = tp.Cycles
 		wantVerdicts[i] = tp.Cycles > thr
 	}

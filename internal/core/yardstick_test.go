@@ -112,33 +112,27 @@ func UserScanTwoPass(p *Prober, start, end paging.VirtAddr) UserScanResult {
 // writable vs read-only, for pages the load pass already read as mapped.
 type storeWorker struct{ workerBase }
 
-func (w *storeWorker) Probe(va paging.VirtAddr) scan.Sample[PermClass] {
-	pr := w.p.ProbeMappedStore(va)
-	return scan.Sample[PermClass]{Cycles: pr.Cycles, Verdict: storeClass(pr.Fast)}
-}
-
 // ProbeChunk batches the chunk's store probes, then maps the fast flags to
-// permission classes in the verdict window (skipped pages get skipV —
-// PermUnmapped in the user scan).
+// permission classes in the verdict window (skipped pages keep the engine's
+// skip verdict — PermUnmapped in the user scan).
 func (w *storeWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, skipV PermClass, verdicts []PermClass, cycles []float64) {
-	p := w.p
-	if skip != nil {
-		for i := lo; i < hi; i++ {
-			if skip(i) {
-				verdicts[i-lo] = skipV
-			}
-		}
-	}
-	fast := p.fastWindow(hi - lo)
-	pos := p.probeBatchWindow(true, start, stride, lo, hi, skip, cycles, fast)
-	for _, j := range pos {
+	skip func(int) bool, verdicts []PermClass, cycles []float64) {
+	fast := w.p.fastWindow(hi - lo)
+	for _, j := range w.p.probeBatchWindow(true, start, stride, lo, hi, skip, cycles, fast) {
 		verdicts[j] = storeClass(fast[j])
 	}
 }
 
-func (w *storeWorker) Classify(cycles float64) PermClass {
-	return storeClass(w.p.StoreThreshold.Classify(cycles))
+// HealProbe merges the minimum of samples store re-probes with the
+// first-pass measurement and re-classifies it.
+func (w *storeWorker) HealProbe(va paging.VirtAddr, samples int, cycles float64, _ PermClass) (float64, PermClass) {
+	best := cycles
+	for s := 0; s < samples; s++ {
+		if pr := w.p.ProbeMappedStore(va); pr.Cycles < best {
+			best = pr.Cycles
+		}
+	}
+	return best, storeClass(w.p.StoreThreshold.Classify(best))
 }
 
 // scanStoreClasses runs the §IV-F store-classification pass on the engine:

@@ -5,14 +5,15 @@ import (
 	"repro/internal/paging"
 )
 
-// This file is the batched probe surface of the machine: the scan engine's
-// chunk workers hand whole slices of masked ops down here so the
-// loop-invariant part of a probe — noise-sigma and fence-overhead
-// composition, the double-execution warm-up/measure bracketing, scratch
-// reuse — is paid once per batch instead of once per sample. The ops still
-// execute strictly in slice order through the same ExecMasked/noise path as
-// the single-op calls, so a batch is bit-identical to the equivalent
-// one-op-at-a-time loop: batching buys host time, never different results.
+// This file is the probe surface of the machine that every core probe goes
+// through: a prober hands a slice of masked ops down here — a whole scan
+// chunk, or one op for a per-VA probe — and gets back one timed sample per
+// measured execution. The ops execute strictly in slice order through
+// ExecMasked, and each measured execution becomes a sample through the same
+// measured step as Measure, so a batch is bit-identical to the equivalent
+// one-op-at-a-time Measure loop at any batch boundary: batching buys host
+// time (op plumbing and scratch reuse are paid once per batch), never
+// different results.
 
 // MeasureBatch runs the double-execution probe sequence for every op in
 // ops: warmups unmeasured executions, then samples measured executions
@@ -26,14 +27,7 @@ import (
 //
 //	for w := 0; w < warmups; w++ { m.ExecMasked(op) }
 //	for s := 0; s < samples; s++ { m.Measure(op) }
-//
-// so batched sweeps are bit-identical to per-VA sweeps at any batch
-// boundary; only the per-sample overhead (noise-sigma composition, fence
-// constants, result plumbing) is hoisted out of the loop.
 func (m *Machine) MeasureBatch(ops []avx.Op, warmups, samples int, out []float64) (faults int) {
-	sigma := m.Preset.NoiseSigma + m.Preset.ExtraNoiseSigma
-	fence := m.Preset.FenceOverhead
-	bracket := uint64(m.Preset.FenceOverhead + m.Preset.LoopOverhead)
 	oi := 0
 	for _, op := range ops {
 		for w := 0; w < warmups; w++ {
@@ -44,12 +38,7 @@ func (m *Machine) MeasureBatch(ops []avx.Op, warmups, samples int, out []float64
 			if r.Faulted {
 				faults++
 			}
-			meas := r.Cycles + fence + m.noiseSampleSigma(sigma)
-			if meas < 0 {
-				meas = 0
-			}
-			m.tsc += bracket
-			out[oi] = meas
+			out[oi] = m.measured(r.Cycles)
 			oi++
 		}
 	}
@@ -71,16 +60,11 @@ func (m *Machine) MeasureBatch(ops []avx.Op, warmups, samples int, out []float64
 //		m.Measure(op)
 //	}
 //
-// so batched term-level sweeps are bit-identical to per-VA ones at any
-// batch boundary. Two loop-invariant costs are hoisted per op: the
-// noise-sigma/fence composition (as in MeasureBatch) and the eviction's
-// page-table walk — the walk is a pure read of the (scan-immutable)
-// address space, so one walk's frame list serves all of a VA's samples;
-// only its eviction side effects and attacker cost repeat per sample.
+// One loop-invariant cost is hoisted per op: the eviction's page-table
+// walk — the walk is a pure read of the (scan-immutable) address space, so
+// one walk's frame list serves all of a VA's samples; only its eviction
+// side effects and attacker cost repeat per sample.
 func (m *Machine) MeasureEvictedBatch(ops []avx.Op, samples int, out []float64) (faults int) {
-	sigma := m.Preset.NoiseSigma + m.Preset.ExtraNoiseSigma
-	fence := m.Preset.FenceOverhead
-	bracket := uint64(m.Preset.FenceOverhead + m.Preset.LoopOverhead)
 	oi := 0
 	for _, op := range ops {
 		// The eviction walk, hoisted: EvictTranslation re-walks per call,
@@ -95,12 +79,7 @@ func (m *Machine) MeasureEvictedBatch(ops []avx.Op, samples int, out []float64) 
 			if r.Faulted {
 				faults++
 			}
-			meas := r.Cycles + fence + m.noiseSampleSigma(sigma)
-			if meas < 0 {
-				meas = 0
-			}
-			m.tsc += bracket
-			out[oi] = meas
+			out[oi] = m.measured(r.Cycles)
 			oi++
 		}
 	}

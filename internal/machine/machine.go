@@ -776,23 +776,26 @@ func (m *Machine) WriteUser(va paging.VirtAddr, data []byte) error {
 // lfence;rdtsc;op;lfence;rdtsc loop yields.
 func (m *Machine) Measure(op avx.Op) (float64, Result) {
 	r := m.ExecMasked(op)
-	meas := r.Cycles + m.Preset.FenceOverhead + m.noiseSample()
+	return m.measured(r.Cycles), r
+}
+
+// measured is the one step that turns an execution's architectural cycles
+// into a timed sample, shared by Measure, MeasurePrefetch and the batched
+// probes: fence overhead plus measurement noise (a rare interrupt spike
+// also stalls the clock), clamped at zero, with the lfence;rdtsc bracket
+// and loop overhead charged to the attacker's clock.
+func (m *Machine) measured(cycles float64) float64 {
+	meas := cycles + m.Preset.FenceOverhead + m.noiseSample()
 	if meas < 0 {
 		meas = 0
 	}
 	m.tsc += uint64(m.Preset.FenceOverhead + m.Preset.LoopOverhead)
-	return meas, r
+	return meas
 }
 
 // noiseSample draws one measurement-noise value.
 func (m *Machine) noiseSample() float64 {
-	return m.noiseSampleSigma(m.Preset.NoiseSigma + m.Preset.ExtraNoiseSigma)
-}
-
-// noiseSampleSigma is noiseSample with the composed sigma hoisted out, so
-// batched measurement loops compose it once per batch.
-func (m *Machine) noiseSampleSigma(sigma float64) float64 {
-	n := m.noise.Normal(0, sigma)
+	n := m.noise.Normal(0, m.Preset.NoiseSigma+m.Preset.ExtraNoiseSigma)
 	if m.noise.Bool(m.Preset.OutlierProb) {
 		spike := m.noise.Pareto(m.Preset.OutlierScale, 1.7)
 		n += spike
@@ -821,13 +824,7 @@ func (m *Machine) ExecPrefetch(va paging.VirtAddr) Result {
 
 // MeasurePrefetch is Measure for the prefetch baseline.
 func (m *Machine) MeasurePrefetch(va paging.VirtAddr) float64 {
-	r := m.ExecPrefetch(va)
-	meas := r.Cycles + m.Preset.FenceOverhead + m.noiseSample()
-	m.tsc += uint64(m.Preset.FenceOverhead + m.Preset.LoopOverhead)
-	if meas < 0 {
-		meas = 0
-	}
-	return meas
+	return m.measured(m.ExecPrefetch(va).Cycles)
 }
 
 // TSX abort-latency constants (relative to the preset's scalar base); the

@@ -13,14 +13,14 @@
 // comparable verdict can be sharded by wrapping its probing context in a
 // Worker[V].
 //
-// The probe index is an abstract counter, not necessarily an address: the
-// engine computes start + i*stride and hands it to the worker, which may
-// read it as a VA (the address sweeps) or as a tick number (the temporal
-// sweeps use start 0, stride 1 and replay the victim's deterministic
-// event timeline for tick i before probing — see core's spyWorker and
-// behavior.Driver.ReplayWindow). Chunks of ticks parallelize exactly like
-// chunks of pages because a tick's outcome is a pure function of (victim
-// image, driver schedule, tick index, chunk noise stream).
+// The probe index is an abstract counter, not necessarily an address:
+// address sweeps read index i as the VA start + i*stride, and the temporal
+// sweeps read it as tick i of the observation window, replaying the
+// victim's deterministic event timeline for that tick before probing (see
+// core's spyWorker and behavior.Driver.ReplayWindow). Chunks of ticks
+// parallelize exactly like chunks of pages because a tick's outcome is a
+// pure function of (victim image, driver schedule, tick index, chunk noise
+// stream).
 //
 // A scan partitions its probe index range [0, n) into fixed-size chunks
 // and fans the chunks out across N worker goroutines through a
@@ -32,30 +32,35 @@
 // store pass skips pages its load pass read as unmapped — without
 // consuming probes or noise.
 //
-// # Batched probe pipeline
+// # Worker contract
 //
-// A worker that implements BatchWorker receives whole chunks instead of
-// one Probe call per index: the engine hands it the chunk's index range
-// and the preallocated per-shard windows of the shared result slices, and
-// the worker writes verdicts and measurements straight into them. The core
-// workers feed such chunks to Prober.ProbeBatch, which turns the chunk
-// into one masked-op slice for machine.MeasureBatch — the double-execution
-// sequence per VA is unchanged (warm-up, measured runs, noise, reduction),
-// but op plumbing, noise-sigma composition and reduction setup are paid
-// once per chunk instead of once per sample, and all scratch lives on the
-// (pooled) prober, so a steady-state batched sweep allocates nothing per
-// probe and scan cost stops growing with the worker count. Batched and
-// per-index execution are bit-identical by contract.
+// A Worker is three calls: Start resets it for one chunk, ProbeChunk
+// probes the chunk, Elapsed reports the simulated cycles the chunk cost.
+// The engine hands ProbeChunk the chunk's index range and the
+// preallocated per-shard windows of the shared result slices, and the
+// worker writes verdicts and measurements straight into them; skipped
+// indices already hold the skip verdict, and the worker must not probe
+// them. There is no per-index path: the core workers feed each chunk to
+// their prober's batch window (one masked-op slice for
+// machine.MeasureBatch, so op plumbing and reduction setup are paid once
+// per chunk, and all scratch lives on the pooled prober, so a steady-state
+// sweep allocates nothing per probe), and the temporal workers loop over
+// their chunk's ticks. Healing goes only through Healer: the engine hands
+// each disagreeing index, with its first-pass outcome, to the worker's
+// HealProbe. Single-measurement sweeps merge the minimum of the re-probes
+// with the first-pass value and re-classify; a sweep with healing enabled
+// and a worker without HealProbe is a programming error the engine
+// panics on.
 //
 // A verdict need not come from a single measurement: the fused §IV-F user
 // scan probes each chunk twice (a load sub-pass over every page, then a
 // store sub-pass over the pages the loads read as mapped) and emits one
 // PermClass verdict per VA from the pair — one sweep where two serialized
-// sweeps used to run. Such workers implement Healer so the healing pass
-// re-derives the multi-channel verdict instead of min-merging a single
-// cycles value, and they draw each sub-pass's noise from its own
-// chunk-seeded stream (machine.SwapNoise), so a page's store noise does
-// not depend on how many earlier pages were mapped.
+// sweeps used to run. Its HealProbe re-derives the two-channel verdict
+// instead of min-merging a single cycles value, and it draws each
+// sub-pass's noise from its own chunk-seeded stream (machine.SwapNoise),
+// so a page's store noise does not depend on how many earlier pages were
+// mapped.
 //
 // # Zero-allocation temporal path
 //
@@ -72,8 +77,7 @@
 //     stays replica-safe without locks or allocation.
 //  2. Probe scratch belongs to the (pooled) prober. A tick's per-target
 //     page sweep goes through one batched TLB probe into prober-owned
-//     measurement windows, bit-identical to the per-page probe loop it
-//     replaced.
+//     measurement windows.
 //  3. The fan-out allocates per scan, not per worker. Engine.Scan spawns
 //     its shard goroutines from one shared closure with no arguments (each
 //     goroutine picks its worker off a shared atomic index), so the spawn
@@ -109,12 +113,12 @@
 //     single-threaded in ascending index order on its own seeded stream
 //     after the merge.
 //
-// The healing pass (the paper's second pass) re-probes, min-of-k, every
-// index whose verdict disagrees with a neighbour — both isolated flips
+// The healing pass (the paper's second pass) re-probes, through the
+// worker's HealProbe, every index whose verdict disagrees with a neighbour — both isolated flips
 // (an interrupt spike splitting a run in two) and run edges (a spike
 // silently shortening a run, which breaks exact-run-length signatures).
 // Sweeps whose true signal is isolated singletons — the AMD 4 KiB-slot
-// sweep — disable it with Config.HealSamples < 0.
+// sweep — and the temporal sweeps disable it with Config.HealSamples < 0.
 //
 // The per-chunk reset is a simulator-level operation (no attacker time is
 // charged): sharding models a faster host, not a different attack.

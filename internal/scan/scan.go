@@ -13,16 +13,6 @@ import (
 // 512-slot kernel scan still splits across workers.
 const DefaultChunkPages = 128
 
-// Sample is one probe outcome: the decision measurement plus the verdict
-// the probe derived from it (mapped/unmapped, a permission class, a
-// walk-termination level, ...).
-type Sample[V comparable] struct {
-	// Cycles is the probe's decision measurement.
-	Cycles float64
-	// Verdict is the probe's classification of the address.
-	Verdict V
-}
-
 // Worker is one shard's probing context. Implementations wrap a calibrated
 // prober on a private machine replica. Workers are used by one goroutine at
 // a time; distinct workers run concurrently.
@@ -31,38 +21,28 @@ type Worker[V comparable] interface {
 	// the noise stream reseeded from chunkSeed, so the chunk's measurements
 	// are a pure function of (shared victim state, chunkSeed).
 	Start(chunkSeed uint64)
-	// Probe measures one address.
-	Probe(va paging.VirtAddr) Sample[V]
-	// Classify re-derives a verdict from a reduced measurement (used when
-	// the healing pass merges re-probe minima).
-	Classify(cycles float64) V
+	// ProbeChunk probes the indices [lo, hi) — index i at start + i*stride
+	// for address sweeps, tick i for temporal ones — writing index i's
+	// verdict and decision measurement to verdicts[i-lo] and cycles[i-lo],
+	// windows of the engine's shared result slices. Indices for which skip
+	// (nil when the scan skips nothing) reports true already hold the skip
+	// verdict and zero cycles: the worker must leave them untouched and
+	// consume no probe and no noise for them.
+	ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
+		skip func(i int) bool, verdicts []V, cycles []float64)
 	// Elapsed returns the simulated cycles consumed since the last Start.
 	Elapsed() uint64
 }
 
-// BatchWorker is a Worker that probes whole chunks at once. When a worker
-// implements it, the engine hands it the chunk's index range and the
-// preallocated result windows (verdicts[i-lo], cycles[i-lo] for index i)
-// instead of driving one Probe call per index, so the worker can amortize
-// per-probe overhead across the chunk (core feeds such chunks to
-// machine.MeasureBatch). A ProbeChunk implementation must be bit-identical
-// to the per-index Probe loop — same machine operations, same noise draws,
-// same verdicts — including honoring skip: a skipped index gets verdict
-// skipV, zero cycles, and must consume no probe and no noise. The engine's
-// healing pass still uses per-index Probe/Classify.
-type BatchWorker[V comparable] interface {
-	Worker[V]
-	ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-		skip func(i int) bool, skipV V, verdicts []V, cycles []float64)
-}
-
-// Healer lets a worker take over the healing re-probe of one index. The
-// default heal merges the minimum of HealSamples re-measurements with the
-// first-pass value and re-classifies — correct for single-measurement
-// verdicts, but a fused probe (load + store classification per VA) cannot
-// re-derive its verdict from one cycles channel. HealProbe receives the
-// first-pass outcome and returns the healed one; it runs single-threaded in
-// ascending index order on the heal stream, like the default pass.
+// Healer is how a worker takes part in the healing pass: the engine hands
+// it each index whose verdict disagrees with a neighbour, with the
+// first-pass outcome, and the worker returns the healed one — for a
+// single-measurement verdict the minimum of samples re-probes merged with
+// the first-pass value and re-classified; a fused probe (load + store
+// classification per VA) re-derives its verdict from both channels. It
+// runs single-threaded in ascending index order on the heal stream. A scan
+// whose healing is enabled (Config.HealSamples >= 0) needs a worker that
+// implements Healer.
 type Healer[V comparable] interface {
 	HealProbe(va paging.VirtAddr, samples int, cycles float64, v V) (float64, V)
 }
@@ -174,7 +154,6 @@ func (e *Engine[V]) Scan(start paging.VirtAddr, n int, stride uint64) Result[V] 
 	body := func() {
 		defer sh.wg.Done()
 		wk := workers[sh.widx.Add(1)-1]
-		bw, batched := wk.(BatchWorker[V])
 		var local uint64
 		for {
 			c := int(sh.next.Add(1)) - 1
@@ -186,23 +165,17 @@ func (e *Engine[V]) Scan(start paging.VirtAddr, n int, stride uint64) Result[V] 
 			if hi > n {
 				hi = n
 			}
-			wk.Start(StreamSeed(e.cfg.Seed, uint64(c)))
-			if batched {
-				// The worker owns the whole chunk: it writes straight
-				// into its disjoint window of the shared result slices.
-				bw.ProbeChunk(start, stride, lo, hi, e.skip, e.skipV,
-					verdicts[lo:hi], cycles[lo:hi])
-			} else {
+			if e.skip != nil {
 				for i := lo; i < hi; i++ {
-					if e.skip != nil && e.skip(i) {
+					if e.skip(i) {
 						verdicts[i] = e.skipV
-						continue
 					}
-					s := wk.Probe(start + paging.VirtAddr(uint64(i)*stride))
-					cycles[i] = s.Cycles
-					verdicts[i] = s.Verdict
 				}
 			}
+			wk.Start(StreamSeed(e.cfg.Seed, uint64(c)))
+			// The worker owns the whole chunk: it writes straight into its
+			// disjoint window of the shared result slices.
+			wk.ProbeChunk(start, stride, lo, hi, e.skip, verdicts[lo:hi], cycles[lo:hi])
 			local += wk.Elapsed()
 		}
 		sh.sim.Add(local)
@@ -220,20 +193,23 @@ func (e *Engine[V]) Scan(start paging.VirtAddr, n int, stride uint64) Result[V] 
 	return res
 }
 
-// heal re-probes (min-of-HealSamples) every index whose verdict disagrees
-// with a neighbour — isolated flips AND run edges. Interrupt spikes produce
-// misreads that either split a module or image run in two (isolated flip)
-// or silently shorten a run by one (edge flip: the misread agrees with the
-// unmapped side, so an isolated-only rule never catches it and an
-// exact-run-length signature match fails). Genuine boundaries are stable
-// under the re-probe: noise is additive, so the minimum converges to the
-// true class latency and the verdict stands. The pass runs single-threaded
-// in ascending index order on a chunk-independent seed, so its output
-// depends only on the merged first-pass result. Skipped indices are
-// neither healed nor re-probed.
+// heal re-probes every index whose verdict disagrees with a neighbour —
+// isolated flips AND run edges — through the worker's Healer. Interrupt
+// spikes produce misreads that either split a module or image run in two
+// (isolated flip) or silently shorten a run by one (edge flip: the misread
+// agrees with the unmapped side, so an isolated-only rule never catches it
+// and an exact-run-length signature match fails). Genuine boundaries are
+// stable under the re-probe: noise is additive, so the minimum converges to
+// the true class latency and the verdict stands. The pass runs
+// single-threaded in ascending index order on a chunk-independent seed, so
+// its output depends only on the merged first-pass result. Skipped indices
+// are neither healed nor re-probed.
 func (e *Engine[V]) heal(res *Result[V], start paging.VirtAddr, n int, stride uint64, w Worker[V]) {
+	h, ok := w.(Healer[V])
+	if !ok {
+		panic("scan: healing is enabled but the worker does not implement Healer")
+	}
 	w.Start(StreamSeed(e.cfg.Seed, uint64(res.Chunks)+1))
-	healer, custom := w.(Healer[V])
 	for i := 0; i < n; i++ {
 		if e.skip != nil && e.skip(i) {
 			continue
@@ -244,21 +220,7 @@ func (e *Engine[V]) heal(res *Result[V], start paging.VirtAddr, n int, stride ui
 			continue
 		}
 		va := start + paging.VirtAddr(uint64(i)*stride)
-		if custom {
-			// Multi-measurement verdicts (the fused user scan) re-probe and
-			// re-classify themselves.
-			res.Cycles[i], res.Verdicts[i] = healer.HealProbe(va, e.cfg.HealSamples, res.Cycles[i], res.Verdicts[i])
-			res.Healed++
-			continue
-		}
-		best := res.Cycles[i]
-		for s := 0; s < e.cfg.HealSamples; s++ {
-			if pr := w.Probe(va); pr.Cycles < best {
-				best = pr.Cycles
-			}
-		}
-		res.Cycles[i] = best
-		res.Verdicts[i] = w.Classify(best)
+		res.Cycles[i], res.Verdicts[i] = h.HealProbe(va, e.cfg.HealSamples, res.Cycles[i], res.Verdicts[i])
 		res.Healed++
 	}
 	res.SimCycles += w.Elapsed()

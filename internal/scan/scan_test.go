@@ -3,7 +3,6 @@ package scan
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/paging"
@@ -11,28 +10,32 @@ import (
 
 // detWorker is a purely deterministic fake worker: every probe outcome is a
 // function of (va, chunk seed, position in the chunk stream), emulating a
-// reseeded noise source. It also records which goroutine ran it to verify
-// single-goroutine use.
-type detWorker struct {
+// reseeded noise source, classified into a verdict of type V. Optional
+// hooks plant a misread and record every probed VA.
+type detWorker[V comparable] struct {
 	mappedLo, mappedHi paging.VirtAddr
-	seed               uint64
-	n                  uint64
-	elapsed            uint64
+	classify           func(cycles float64) V
+	// flipVA, when nonzero, reads slow (an isolated interrupt-spike
+	// misread) on its first probe only; re-probes are honest.
+	flipVA  paging.VirtAddr
+	flipped bool
+	// probed, when non-nil, counts the probes of every VA, so a test can
+	// prove an address was never probed at all (not merely that its result
+	// slot was overwritten afterwards).
+	probed map[paging.VirtAddr]int
 
-	mu    sync.Mutex
-	calls int
+	seed, n, elapsed uint64
+	chunks           int
+	healed           []paging.VirtAddr
 }
 
-func (w *detWorker) Start(chunkSeed uint64) {
+func (w *detWorker[V]) Start(chunkSeed uint64) {
 	w.seed = chunkSeed
 	w.n = 0
 	w.elapsed = 0
 }
 
-func (w *detWorker) Probe(va paging.VirtAddr) Sample[bool] {
-	w.mu.Lock()
-	w.calls++
-	w.mu.Unlock()
+func (w *detWorker[V]) probe(va paging.VirtAddr) float64 {
 	w.n++
 	noise := float64(StreamSeed(w.seed, w.n)%7) - 3 // [-3, 3] pseudo-noise
 	mapped := va >= w.mappedLo && va < w.mappedHi
@@ -41,14 +44,56 @@ func (w *detWorker) Probe(va paging.VirtAddr) Sample[bool] {
 		cycles = 140.0 + noise
 	}
 	w.elapsed += uint64(cycles)
-	return Sample[bool]{Cycles: cycles, Verdict: w.Classify(cycles)}
+	if w.probed != nil {
+		w.probed[va]++
+	}
+	if w.flipVA != 0 && va == w.flipVA && !w.flipped {
+		w.flipped = true
+		cycles = 150
+	}
+	return cycles
 }
 
-func (w *detWorker) Classify(cycles float64) bool { return cycles < 120 }
-func (w *detWorker) Elapsed() uint64              { return w.elapsed }
+func (w *detWorker[V]) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
+	skip func(int) bool, verdicts []V, cycles []float64) {
+	w.chunks++
+	for i := lo; i < hi; i++ {
+		if skip != nil && skip(i) {
+			continue
+		}
+		c := w.probe(start + paging.VirtAddr(uint64(i)*stride))
+		cycles[i-lo], verdicts[i-lo] = c, w.classify(c)
+	}
+}
+
+// HealProbe is the min-of-samples merge every single-measurement sweep
+// heals with.
+func (w *detWorker[V]) HealProbe(va paging.VirtAddr, samples int, cycles float64, _ V) (float64, V) {
+	w.healed = append(w.healed, va)
+	best := cycles
+	for s := 0; s < samples; s++ {
+		if c := w.probe(va); c < best {
+			best = c
+		}
+	}
+	return best, w.classify(best)
+}
+
+func (w *detWorker[V]) Elapsed() uint64 { return w.elapsed }
+
+func mappedFast(cycles float64) bool { return cycles < 120 }
+
+// writableClass classifies into a small verdict enum, exercising the engine
+// with a non-bool verdict type (the user-scan store pass shape).
+func writableClass(cycles float64) int {
+	if cycles < 120 {
+		return 2 // "writable"
+	}
+	return 1 // "read-only"
+}
 
 func detFactory(lo, hi paging.VirtAddr) Factory[bool] {
-	return func(id int) Worker[bool] { return &detWorker{mappedLo: lo, mappedHi: hi} }
+	return func(id int) Worker[bool] { return &detWorker[bool]{mappedLo: lo, mappedHi: hi, classify: mappedFast} }
 }
 
 const testStride = uint64(paging.Page4K)
@@ -94,57 +139,25 @@ func TestScanFindsMappedRun(t *testing.T) {
 	}
 }
 
-// classWorker probes into a small verdict enum, exercising the engine with
-// a non-bool verdict type (the user-scan store pass shape).
-type classWorker struct {
-	detWorker
-}
-
-func (w *classWorker) Probe(va paging.VirtAddr) Sample[int] {
-	s := w.detWorker.Probe(va)
-	return Sample[int]{Cycles: s.Cycles, Verdict: w.Classify(s.Cycles)}
-}
-
-func (w *classWorker) Classify(cycles float64) int {
-	if cycles < 120 {
-		return 2 // "writable"
-	}
-	return 1 // "read-only"
-}
-
-// vaRecorder wraps a worker and records every VA handed to Probe, so a
-// test can prove an address was never probed at all (not merely that its
-// result slot was overwritten afterwards).
-type vaRecorder struct {
-	*classWorker
-	probed map[paging.VirtAddr]int
-}
-
-func (w *vaRecorder) Probe(va paging.VirtAddr) Sample[int] {
-	w.probed[va]++
-	return w.classWorker.Probe(va)
-}
-
 // The engine must support non-bool verdicts with skipped indices: a
 // skipped index gets the skip verdict and zero cycles, its VA is never
-// passed to Probe (no noise draw — the determinism contract of the
-// user-scan store pass), and it is excluded from healing.
+// probed (no noise draw — the determinism contract of the user-scan store
+// pass), and it is excluded from healing.
 func TestScanSkipIndices(t *testing.T) {
 	start := paging.VirtAddr(0x1000000)
 	lo := start
 	hi := start + paging.VirtAddr(1000*testStride)
 	probed := make(map[paging.VirtAddr]int)
-	eng := New(Config{Workers: 1, ChunkPages: 64, Seed: 9}, func(id int) Worker[int] {
-		return &vaRecorder{classWorker: &classWorker{detWorker{mappedLo: lo, mappedHi: hi}}, probed: probed}
-	})
+	w := &detWorker[int]{mappedLo: lo, mappedHi: hi, classify: writableClass, probed: probed}
+	eng := New(Config{Workers: 1, ChunkPages: 64, Seed: 9}, func(id int) Worker[int] { return w })
 	skip := func(i int) bool { return i%3 == 0 }
-	eng.SetSkip(skip, 0)
+	eng.SetSkip(skip, 3) // neither class writableClass returns
 	const n = 600
 	res := eng.Scan(start, n, testStride)
 	for i := 0; i < n; i++ {
 		va := start + paging.VirtAddr(uint64(i)*testStride)
 		if skip(i) {
-			if res.Verdicts[i] != 0 || res.Cycles[i] != 0 {
+			if res.Verdicts[i] != 3 || res.Cycles[i] != 0 {
 				t.Fatalf("index %d: skipped index has verdict %d, cycles %v", i, res.Verdicts[i], res.Cycles[i])
 			}
 			if probed[va] != 0 {
@@ -155,9 +168,12 @@ func TestScanSkipIndices(t *testing.T) {
 		if probed[va] == 0 {
 			t.Fatalf("index %d: probe-able index never probed", i)
 		}
-		if res.Verdicts[i] == 0 {
+		if res.Verdicts[i] == 3 {
 			t.Fatalf("index %d: probed index has skip verdict", i)
 		}
+	}
+	if w.chunks != (n+63)/64 {
+		t.Fatalf("ProbeChunk ran for %d chunks, want %d", w.chunks, (n+63)/64)
 	}
 }
 
@@ -166,7 +182,7 @@ func TestScanSkipParallelParity(t *testing.T) {
 	start := paging.VirtAddr(0x1000000)
 	run := func(workers int) Result[int] {
 		eng := New(Config{Workers: workers, ChunkPages: 64, Seed: 17}, func(id int) Worker[int] {
-			return &classWorker{detWorker{mappedLo: start, mappedHi: start + paging.VirtAddr(1000*testStride)}}
+			return &detWorker[int]{mappedLo: start, mappedHi: start + paging.VirtAddr(1000*testStride), classify: writableClass}
 		})
 		eng.SetSkip(func(i int) bool { return i%5 == 2 }, 0)
 		return eng.Scan(start, 777, testStride)
@@ -183,24 +199,6 @@ func TestScanSkipParallelParity(t *testing.T) {
 	}
 }
 
-// healWorker reads a chosen index as slow (an isolated interrupt-spike
-// misread) on the first probe of that address only; re-probes are fast.
-type healWorker struct {
-	detWorker
-	flipVA paging.VirtAddr
-	probed map[paging.VirtAddr]int
-}
-
-func (w *healWorker) Probe(va paging.VirtAddr) Sample[bool] {
-	s := w.detWorker.Probe(va)
-	w.probed[va]++
-	if va == w.flipVA && w.probed[va] == 1 {
-		s.Cycles = 150
-		s.Verdict = false
-	}
-	return s
-}
-
 func TestScanHealsIsolatedMisread(t *testing.T) {
 	start := paging.VirtAddr(0x1000000)
 	lo := start
@@ -208,7 +206,7 @@ func TestScanHealsIsolatedMisread(t *testing.T) {
 	flip := start + paging.VirtAddr(250*testStride)
 	probed := make(map[paging.VirtAddr]int)
 	eng := New(Config{Workers: 1, ChunkPages: 64, Seed: 7}, func(id int) Worker[bool] {
-		return &healWorker{detWorker: detWorker{mappedLo: lo, mappedHi: hi}, flipVA: flip, probed: probed}
+		return &detWorker[bool]{mappedLo: lo, mappedHi: hi, classify: mappedFast, flipVA: flip, probed: probed}
 	})
 	res := eng.Scan(start, 500, testStride)
 	if !res.Verdicts[250] {
@@ -230,9 +228,9 @@ func TestScanHealDisabled(t *testing.T) {
 	flip := start + paging.VirtAddr(250*testStride)
 	probed := make(map[paging.VirtAddr]int)
 	eng := New(Config{Workers: 1, ChunkPages: 64, Seed: 7, HealSamples: -1}, func(id int) Worker[bool] {
-		return &healWorker{
-			detWorker: detWorker{mappedLo: start, mappedHi: start + paging.VirtAddr(500*testStride)},
-			flipVA:    flip, probed: probed,
+		return &detWorker[bool]{
+			mappedLo: start, mappedHi: start + paging.VirtAddr(500*testStride),
+			classify: mappedFast, flipVA: flip, probed: probed,
 		}
 	})
 	res := eng.Scan(start, 500, testStride)
@@ -293,111 +291,42 @@ func ExampleEngine_Scan() {
 	// Output: [false false true true true true false false]
 }
 
-// batchWorker drives the same deterministic probe model as classWorker
-// through the chunk-granular BatchWorker path, recording that the engine
-// actually handed it whole chunks.
-type batchWorker struct {
-	classWorker
-	chunks int
-}
-
-func (w *batchWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, skipV int, verdicts []int, cycles []float64) {
-	w.chunks++
-	for i := lo; i < hi; i++ {
-		if skip != nil && skip(i) {
-			verdicts[i-lo] = skipV
-			continue
-		}
-		s := w.Probe(start + paging.VirtAddr(uint64(i)*stride))
-		cycles[i-lo] = s.Cycles
-		verdicts[i-lo] = s.Verdict
-	}
-}
-
-// A BatchWorker whose ProbeChunk replays the per-index probe loop must
-// produce output bit-identical to the per-index Worker at every worker
-// count — including skip handling and the (per-index) healing pass.
-func TestScanBatchWorkerMatchesPerIndex(t *testing.T) {
-	start := paging.VirtAddr(0x1000000)
-	lo := start + paging.VirtAddr(50*testStride)
-	hi := start + paging.VirtAddr(400*testStride)
-	skip := func(i int) bool { return i%7 == 3 }
-	run := func(workers int, batched bool) Result[int] {
-		eng := New(Config{Workers: workers, ChunkPages: 64, Seed: 23}, func(id int) Worker[int] {
-			if batched {
-				return &batchWorker{classWorker: classWorker{detWorker{mappedLo: lo, mappedHi: hi}}}
-			}
-			return &classWorker{detWorker{mappedLo: lo, mappedHi: hi}}
-		})
-		eng.SetSkip(skip, 0)
-		return eng.Scan(start, 500, testStride)
-	}
-	want := run(1, false)
-	for _, w := range []int{1, 2, 8} {
-		got := run(w, true)
-		if !reflect.DeepEqual(want.Verdicts, got.Verdicts) || !reflect.DeepEqual(want.Cycles, got.Cycles) {
-			t.Fatalf("workers=%d: batched scan differs from per-index scan", w)
-		}
-		if want.SimCycles != got.SimCycles {
-			t.Fatalf("workers=%d: batched SimCycles %d != per-index %d", w, got.SimCycles, want.SimCycles)
-		}
-	}
-	// The batch path must actually be exercised.
-	probe := &batchWorker{classWorker: classWorker{detWorker{mappedLo: lo, mappedHi: hi}}}
-	eng := New(Config{Workers: 1, ChunkPages: 64, Seed: 23}, func(id int) Worker[int] { return probe })
-	eng.Scan(start, 500, testStride)
-	if probe.chunks != (500+63)/64 {
-		t.Fatalf("ProbeChunk ran for %d chunks, want %d", probe.chunks, (500+63)/64)
-	}
-}
-
-// healerWorker plants one first-probe misread (like healWorker) and takes
-// over its repair through the Healer hook.
-type healerWorker struct {
-	classWorker
-	flipVA paging.VirtAddr
-	first  bool
-	healed []paging.VirtAddr
-}
-
-func (w *healerWorker) Probe(va paging.VirtAddr) Sample[int] {
-	s := w.classWorker.Probe(va)
-	if va == w.flipVA && !w.first {
-		w.first = true
-		s.Cycles, s.Verdict = 150, 1
-	}
-	return s
-}
-
-func (w *healerWorker) HealProbe(va paging.VirtAddr, samples int, cycles float64, v int) (float64, int) {
-	w.healed = append(w.healed, va)
-	best := cycles
-	for s := 0; s < samples; s++ {
-		if pr := w.Probe(va); pr.Cycles < best {
-			best = pr.Cycles
-		}
-	}
-	return best, w.Classify(best)
-}
-
-// When a worker implements Healer, the engine's healing pass must route
-// disagreeing indices through HealProbe (which can re-derive multi-channel
-// verdicts) instead of the default min-merge, and the repair must land.
+// The healing pass must route disagreeing indices through the worker's
+// HealProbe (which can re-derive multi-channel verdicts), and the repair
+// must land.
 func TestScanHealerHookRepairsMisread(t *testing.T) {
 	start := paging.VirtAddr(0x1000000)
 	lo, hi := start, start+paging.VirtAddr(1000*testStride)
 	flip := start + paging.VirtAddr(40*testStride)
-	w := &healerWorker{classWorker: classWorker{detWorker{mappedLo: lo, mappedHi: hi}}, flipVA: flip}
+	w := &detWorker[int]{mappedLo: lo, mappedHi: hi, classify: writableClass, flipVA: flip}
 	eng := New(Config{Workers: 1, ChunkPages: 64, Seed: 31}, func(id int) Worker[int] { return w })
 	res := eng.Scan(start, 200, testStride)
-	if len(w.healed) == 0 {
-		t.Fatal("Healer hook never invoked for the planted misread")
+	if len(w.healed) == 0 || w.healed[0] != start+paging.VirtAddr(39*testStride) {
+		t.Fatalf("HealProbe calls %v, want the planted misread's neighbours first", w.healed)
 	}
 	if res.Verdicts[40] != 2 {
 		t.Fatalf("planted misread not repaired: verdict %d", res.Verdicts[40])
 	}
-	if res.Healed == 0 {
-		t.Fatal("Healed count not recorded for Healer-hook repairs")
+	if res.Healed != len(w.healed) {
+		t.Fatalf("Healed = %d, HealProbe ran %d times", res.Healed, len(w.healed))
 	}
+}
+
+// chunkOnly is a worker that does not implement Healer.
+type chunkOnly struct{ detWorker[bool] }
+
+func (w *chunkOnly) HealProbe() {} // shadows the embedded HealProbe: not a Healer
+
+// Healing goes only through Healer: a scan with healing enabled refuses a
+// worker that cannot heal instead of leaving disagreements unhealed.
+func TestScanHealNeedsHealer(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("healing scan with a non-Healer worker did not panic")
+		}
+	}()
+	eng := New(Config{Workers: 1, ChunkPages: 64, Seed: 3}, func(id int) Worker[bool] {
+		return &chunkOnly{detWorker[bool]{mappedLo: 0x1000000, mappedHi: 0x1000000 + 10*0x1000, classify: mappedFast}}
+	})
+	eng.Scan(0x1000000, 64, testStride)
 }

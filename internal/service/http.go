@@ -42,12 +42,17 @@ const maxJobSpecBytes = 64 << 10
 //
 // Rejections map to HTTP backpressure codes: 429 + Retry-After on a full
 // queue or when admission control sheds (ShedWatermark), 503 while
-// draining. A body over maxJobSpecBytes is refused with 413.
+// draining. A body over maxJobSpecBytes is refused with 413, and a body
+// naming a field JobSpec does not have with 400.
 func NewHandler(s *Scheduler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes)).Decode(&spec); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+		// A misspelt or removed field must not silently run the job on the
+		// field's default: the decoder's error names the unknown field.
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				httpError(w, http.StatusRequestEntityTooLarge, "job spec exceeds "+strconv.Itoa(maxJobSpecBytes)+" bytes")

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -169,6 +170,40 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 	}
 }
 
+// unknownFieldBodies name a field JobSpec does not have: a misspelling and
+// a removed field.
+var unknownFieldBodies = []struct{ body, field string }{
+	{`{"kind":"userscan","entropy_bit":20,"seed":5}`, "entropy_bit"},
+	{`{"kind":"kernelbase","scan_workers":4}`, "scan_workers"},
+}
+
+// A body with an unknown field is refused with 400 naming the field, and
+// nothing is submitted.
+func TestHTTPUnknownFieldRejected(t *testing.T) {
+	s := New(Config{Executors: 1})
+	defer s.Drain()
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	for _, c := range unknownFieldBodies {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", c.body, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), c.field) {
+			t.Fatalf("%s: error %q does not name %q", c.body, msg, c.field)
+		}
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Fatalf("unknown-field bodies reached the scheduler: %+v", st)
+	}
+}
+
 // FuzzSubmitHTTP feeds arbitrary bodies to POST /jobs. Whatever the body,
 // the answer is an accepted job or a client/backpressure error — 202, 400,
 // 413, 429 or 503 — never a panic or a 500. Each input gets its own
@@ -197,6 +232,9 @@ func FuzzSubmitHTTP(f *testing.F) {
 	f.Add([]byte(`{"kind":`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte{})
+	for _, c := range unknownFieldBodies {
+		f.Add([]byte(c.body))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := New(Config{Executors: 1})
 		defer s.Drain()

@@ -9,8 +9,11 @@
 package winkernel
 
 import (
+	"fmt"
+
 	"repro/internal/machine"
 	"repro/internal/paging"
+	"repro/internal/phys"
 	"repro/internal/rng"
 )
 
@@ -102,7 +105,7 @@ func Boot(m *machine.Machine, cfg Config) (*Kernel, error) {
 			}
 			continue
 		}
-		frame := m.Alloc.AllocContig(paging.Page2M / 4096)
+		frame := m.Alloc.AllocContig(imageSlotFrames)
 		if err := k.kernelAS.Map(slotVA, paging.Page2M, frame, flags); err != nil {
 			return nil, err
 		}
@@ -116,7 +119,10 @@ func Boot(m *machine.Machine, cfg Config) (*Kernel, error) {
 		span := 1 + r.Intn(3)
 		base := RegionBase + paging.VirtAddr(uint64(cur)<<21)
 		for s := 0; s < span; s++ {
-			frame := m.Alloc.AllocContig(paging.Page2M / 4096)
+			frame, err := allocImageSlot(m.Alloc)
+			if err != nil {
+				return nil, fmt.Errorf("winkernel: driver %d of %d: %w", d+1, cfg.Drivers, err)
+			}
 			if err := k.kernelAS.Map(base+paging.VirtAddr(uint64(s)<<21), paging.Page2M, frame, paging.Global); err != nil {
 				return nil, err
 			}
@@ -140,6 +146,21 @@ func Boot(m *machine.Machine, cfg Config) (*Kernel, error) {
 		m.InstallAddressSpaces(k.kernelAS, k.kernelAS)
 	}
 	return k, nil
+}
+
+// imageSlotFrames is the frame count of one 2 MiB image slot.
+const imageSlotFrames = paging.Page2M / phys.FrameSize
+
+// allocImageSlot allocates the contiguous frames backing one 2 MiB image
+// slot, or fails when physical memory cannot hold it: the run may lose up
+// to imageSlotFrames-1 frames to alignment, and boot keeps imageSlotFrames
+// more in reserve for page tables, the KVAS pages and the attacker's own
+// pages (calibration maps 256 of them).
+func allocImageSlot(a *phys.Allocator) (phys.PFN, error) {
+	if free := a.Capacity() - a.Allocated() - 1; free < 3*imageSlotFrames {
+		return 0, fmt.Errorf("out of physical memory for a 2 MiB image slot (%d frames free)", free)
+	}
+	return a.AllocContig(imageSlotFrames), nil
 }
 
 // ImageEnd returns one past the kernel image's last mapped byte.

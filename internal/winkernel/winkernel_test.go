@@ -130,3 +130,14 @@ func TestMaxSlotRestriction(t *testing.T) {
 		}
 	}
 }
+
+// More drivers than physical memory holds is an input error, not a panic:
+// Boot reports it, for any driver count past the point memory runs out.
+func TestBootTooManyDriversErrors(t *testing.T) {
+	for _, drivers := range []int{100000, 2020} {
+		m := machine.New(uarch.AlderLake12400F(), 1)
+		if _, err := Boot(m, Config{Seed: 1, Drivers: drivers}); err == nil {
+			t.Fatalf("Drivers: %d booted, want an out-of-memory error", drivers)
+		}
+	}
+}
