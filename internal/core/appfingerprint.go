@@ -145,7 +145,7 @@ type fpWorker struct {
 
 // ProbeChunk runs the chunk's ticks in order, like spyWorker's.
 func (w *fpWorker) ProbeChunk(_ paging.VirtAddr, _ uint64, lo, hi int,
-	_ func(int) bool, verdicts []uint64, cycles []float64) {
+	verdicts []uint64, cycles []float64) {
 	for i := lo; i < hi; i++ {
 		mask := w.f.tick(w.p, w.d, w.watch, w.t0+float64(i)*w.f.TickSec)
 		verdicts[i-lo], cycles[i-lo] = mask, float64(mask)
@@ -177,7 +177,7 @@ func (f *AppFingerprinter) ClassifyFrom(d *behavior.Driver, t0 float64) (AppProf
 	// Materialize unbounded victim timelines through the window before the
 	// fan-out: worker replicas then replay events as pure reads.
 	d.EnsureHorizon(t0 + float64(f.Ticks)*f.TickSec)
-	res := runSweep(f.P, 0, f.Ticks, 1, tickChunk(f.P), -1, nil, uint64(0),
+	res := runSweep(f.P, 0, f.Ticks, 1, tickChunk(f.P), -1,
 		func(rp *Prober) scan.Worker[uint64] {
 			return &fpWorker{workerBase: workerBase{p: rp}, f: f, d: d, watch: watch, t0: t0}
 		})

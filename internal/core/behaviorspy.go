@@ -164,10 +164,10 @@ type spyWorker struct {
 	t0  float64
 }
 
-// ProbeChunk runs the chunk's ticks in order. Temporal sweeps skip nothing
-// and ignore the address axis: index i is tick i.
+// ProbeChunk runs the chunk's ticks in order. Temporal sweeps ignore the
+// address axis: index i is tick i.
 func (w *spyWorker) ProbeChunk(_ paging.VirtAddr, _ uint64, lo, hi int,
-	_ func(int) bool, verdicts []tickObs, cycles []float64) {
+	verdicts []tickObs, cycles []float64) {
 	for i := lo; i < hi; i++ {
 		obs := w.spy.tick(w.p, w.d, w.t0+float64(i)*w.spy.TickSec)
 		verdicts[i-lo], cycles[i-lo] = obs, obs.min[0]
@@ -203,7 +203,7 @@ func (s *BehaviorSpy) RunWindow(d *behavior.Driver, t0, t1 float64) ([]SpyTrace,
 	// fan-out: worker replicas then replay events as pure reads.
 	d.EnsureHorizon(t1)
 	n := windowTicks(t0, t1, s.TickSec)
-	res := runSweep(s.P, 0, n, 1, tickChunk(s.P), -1, nil, tickObs{},
+	res := runSweep(s.P, 0, n, 1, tickChunk(s.P), -1,
 		func(rp *Prober) scan.Worker[tickObs] {
 			return &spyWorker{workerBase: workerBase{p: rp}, spy: s, d: d, t0: t0}
 		})

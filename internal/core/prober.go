@@ -525,23 +525,22 @@ type TermProbe struct {
 func (p *Prober) ProbeTermLevel(va paging.VirtAddr, samples int) TermProbe {
 	var cycles [1]float64
 	var verdict [1]bool
-	p.probeTermBatchWindow(va, 0, 0, 1, nil, samples, 0, cycles[:], verdict[:])
+	p.probeTermBatchWindow(va, 0, 0, 1, samples, 0, cycles[:], verdict[:])
 	return TermProbe{VA: va, Cycles: cycles[0]}
 }
 
 // probeTermBatchWindow is the walk-termination probing primitive under
-// ProbeTermLevel and every term-level sweep chunk: for each non-skipped
-// index of [lo, hi), samples eviction+measure pairs run through
+// ProbeTermLevel and every term-level sweep chunk: for each index of
+// [lo, hi), samples eviction+measure pairs run through
 // machine.MeasureEvictedBatch and reduce by minimum (samples <= 0 means 1).
 // cycles and verdicts receive the window-relative results; verdict = cycles
-// above the walk-termination threshold. Skipped indices consume no
-// eviction, no probe and no noise.
+// above the walk-termination threshold.
 func (p *Prober) probeTermBatchWindow(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, samples int, threshold float64, cycles []float64, verdicts []bool) {
+	samples int, threshold float64, cycles []float64, verdicts []bool) {
 	if samples <= 0 {
 		samples = 1
 	}
-	ops, pos := p.windowOps(false, start, stride, lo, hi, skip)
+	ops, _ := p.windowOps(false, start, stride, lo, hi, nil)
 	meas := p.measWindow(len(ops) * samples)
 	p.faults += p.M.MeasureEvictedBatch(ops, samples, meas)
 	// Load probes add the extra timer jitter to every sample; a constant
@@ -555,8 +554,8 @@ func (p *Prober) probeTermBatchWindow(start paging.VirtAddr, stride uint64, lo, 
 			}
 		}
 		best += jitter
-		cycles[pos[j]] = best
-		verdicts[pos[j]] = best > threshold
+		cycles[j] = best
+		verdicts[j] = best > threshold
 	}
 }
 

@@ -137,8 +137,8 @@ type mappedWorker struct{ workerBase }
 // verdict window doubles as the fast-flag buffer, so results land directly
 // in the engine's per-shard result windows.
 func (w *mappedWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, verdicts []bool, cycles []float64) {
-	w.p.probeBatchWindow(false, start, stride, lo, hi, skip, cycles, verdicts)
+	verdicts []bool, cycles []float64) {
+	w.p.probeBatchWindow(false, start, stride, lo, hi, nil, cycles, verdicts)
 }
 
 // HealProbe merges the minimum of samples re-probes with the first-pass
@@ -206,18 +206,17 @@ func (w *fusedWorker) Start(chunkSeed uint64) {
 }
 
 // storeSkip reports whether the store sub-pass skips index i: the load
-// sub-pass read it as unmapped (or the engine skipped it outright).
+// sub-pass read it as unmapped.
 func (w *fusedWorker) storeSkip(i int) bool { return !w.fb[i-w.lo] }
 
 func (w *fusedWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, verdicts []PermClass, cycles []float64) {
+	verdicts []PermClass, cycles []float64) {
 	p := w.p
 	fb := p.fastWindow(hi - lo)
-	clear(fb) // skipped pages stay false: the store sub-pass skips them too
 	t0 := p.M.RDTSC()
 	orig := p.M.SwapNoise(&w.loadNoise)
 	w.fb, w.lo = fb, lo
-	pos := p.probeBatchWindow(false, start, stride, lo, hi, skip, cycles, fb)
+	pos := p.probeBatchWindow(false, start, stride, lo, hi, nil, cycles, fb)
 	for _, j := range pos {
 		if !fb[j] {
 			verdicts[j] = PermUnmapped
@@ -291,8 +290,8 @@ type termWorker struct {
 // machine.MeasureEvictedBatch — the Zen 3 term-level sweep's counterpart of
 // the mapped/store sweeps' batched chunks.
 func (w *termWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, verdicts []bool, cycles []float64) {
-	w.p.probeTermBatchWindow(start, stride, lo, hi, skip, w.samples, w.threshold, cycles, verdicts)
+	verdicts []bool, cycles []float64) {
+	w.p.probeTermBatchWindow(start, stride, lo, hi, w.samples, w.threshold, cycles, verdicts)
 }
 
 // runSweep is the one scan path every sharded sweep takes — large VA
@@ -313,8 +312,7 @@ func (w *termWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int
 // the inline, replicated, and pooled paths produce bit-identical results
 // at every worker count for a fixed machine seed.
 func runSweep[V comparable](p *Prober, start paging.VirtAddr, n int, stride uint64,
-	chunk int, heal int, skip func(int) bool, skipV V,
-	wrap func(*Prober) scan.Worker[V]) scan.Result[V] {
+	chunk int, heal int, wrap func(*Prober) scan.Worker[V]) scan.Result[V] {
 	p.scanEpoch++
 	seed := p.M.Seed() ^ (p.scanEpoch * 0x9e3779b97f4a7c15)
 	inline := p.Opt.Workers == 0
@@ -339,9 +337,6 @@ func runSweep[V comparable](p *Prober, start paging.VirtAddr, n int, stride uint
 		replicas = append(replicas, rp)
 		return wrap(rp)
 	})
-	if skip != nil {
-		eng.SetSkip(skip, skipV)
-	}
 	res := eng.Scan(start, n, stride)
 	p.releaseReplicas(replicas)
 	// Drop the replica pointers before truncating: in the fresh-worker path
@@ -370,7 +365,7 @@ func runSweep[V comparable](p *Prober, start paging.VirtAddr, n int, stride uint
 
 // scanMapped runs the P2 mapped/unmapped sweep on the engine.
 func (p *Prober) scanMapped(start paging.VirtAddr, n int, stride uint64) scan.Result[bool] {
-	return runSweep(p, start, n, stride, 0, 0, nil, false,
+	return runSweep(p, start, n, stride, 0, 0,
 		func(rp *Prober) scan.Worker[bool] { return &mappedWorker{workerBase{p: rp}} })
 }
 
@@ -382,7 +377,7 @@ func (p *Prober) scanMapped(start paging.VirtAddr, n int, stride uint64) scan.Re
 // PT-terminating slots, exactly what a neighbour-disagreement heal would
 // re-probe away.
 func (p *Prober) ScanTermLevel(start paging.VirtAddr, n int, stride uint64, samples int, threshold float64) ([]bool, []float64) {
-	res := runSweep(p, start, n, stride, 0, -1, nil, false,
+	res := runSweep(p, start, n, stride, 0, -1,
 		func(rp *Prober) scan.Worker[bool] {
 			return &termWorker{workerBase: workerBase{p: rp}, samples: samples, threshold: threshold}
 		})

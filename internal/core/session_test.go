@@ -148,7 +148,7 @@ func TestProbeTermBatchMatchesPerVALoop(t *testing.T) {
 	pBatch.M.ResetTranslationState()
 	gotCycles := make([]float64, n)
 	gotVerdicts := make([]bool, n)
-	pBatch.probeTermBatchWindow(start, stride, 0, n, nil, samples, thr, gotCycles, gotVerdicts)
+	pBatch.probeTermBatchWindow(start, stride, 0, n, samples, thr, gotCycles, gotVerdicts)
 
 	if !reflect.DeepEqual(wantCycles, gotCycles) {
 		t.Fatal("batched term cycles differ from per-VA loop")

@@ -47,7 +47,7 @@ func UserScan(p *Prober, start, end paging.VirtAddr) UserScanResult {
 	var loadSim, storeSim atomic.Uint64
 
 	pages := int(uint64(end-start) >> 12)
-	sres := runSweep(p, start, pages, paging.Page4K, 0, 0, nil, PermUnmapped,
+	sres := runSweep(p, start, pages, paging.Page4K, 0, 0,
 		func(rp *Prober) scan.Worker[PermClass] { return newFusedWorker(rp, &loadSim, &storeSim) })
 
 	res.LoadCycles = loadSim.Load()

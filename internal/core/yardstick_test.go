@@ -110,22 +110,36 @@ func UserScanTwoPass(p *Prober, start, end paging.VirtAddr) UserScanResult {
 
 // storeWorker probes with the masked-store attack (P5/P6): verdict =
 // writable vs read-only, for pages the load pass already read as mapped.
-type storeWorker struct{ workerBase }
+// It does its own skipping: a page the load pass read as unmapped is
+// neither probed nor healed, draws no noise, and keeps verdict
+// PermUnmapped and zero cycles.
+type storeWorker struct {
+	workerBase
+	skip func(int) bool
+}
 
-// ProbeChunk batches the chunk's store probes, then maps the fast flags to
-// permission classes in the verdict window (skipped pages keep the engine's
-// skip verdict — PermUnmapped in the user scan).
+func newStoreWorker(rp *Prober, mapped []bool) *storeWorker {
+	return &storeWorker{workerBase: workerBase{p: rp}, skip: func(i int) bool { return !mapped[i] }}
+}
+
+// ProbeChunk batches the chunk's store probes over its mapped pages, then
+// maps the fast flags to permission classes in the verdict window (the
+// pages it skips keep the engine's zero verdict, PermUnmapped).
 func (w *storeWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, verdicts []PermClass, cycles []float64) {
+	verdicts []PermClass, cycles []float64) {
 	fast := w.p.fastWindow(hi - lo)
-	for _, j := range w.p.probeBatchWindow(true, start, stride, lo, hi, skip, cycles, fast) {
+	for _, j := range w.p.probeBatchWindow(true, start, stride, lo, hi, w.skip, cycles, fast) {
 		verdicts[j] = storeClass(fast[j])
 	}
 }
 
 // HealProbe merges the minimum of samples store re-probes with the
-// first-pass measurement and re-classifies it.
-func (w *storeWorker) HealProbe(va paging.VirtAddr, samples int, cycles float64, _ PermClass) (float64, PermClass) {
+// first-pass measurement and re-classifies it. Unmapped pages are not
+// healed: they keep their first-pass outcome and consume no probe.
+func (w *storeWorker) HealProbe(va paging.VirtAddr, samples int, cycles float64, v PermClass) (float64, PermClass) {
+	if v == PermUnmapped {
+		return cycles, v
+	}
 	best := cycles
 	for s := 0; s < samples; s++ {
 		if pr := w.p.ProbeMappedStore(va); pr.Cycles < best {
@@ -142,8 +156,7 @@ func (w *storeWorker) HealProbe(va paging.VirtAddr, samples int, cycles float64,
 // outright — no probe, no noise draw — and come back PermUnmapped.
 func (p *Prober) scanStoreClasses(start paging.VirtAddr, mapped []bool) []PermClass {
 	res := runSweep(p, start, len(mapped), paging.Page4K, 0, 0,
-		func(i int) bool { return !mapped[i] }, PermUnmapped,
-		func(rp *Prober) scan.Worker[PermClass] { return &storeWorker{workerBase{p: rp}} })
+		func(rp *Prober) scan.Worker[PermClass] { return newStoreWorker(rp, mapped) })
 	return res.Verdicts
 }
 

@@ -244,8 +244,8 @@ func TestSwapNoiseStreams(t *testing.T) {
 }
 
 // The flat PFN backing must behave exactly like the old map: lazily
-// created frames, data round-trips, clone isolation, and an array-op clear
-// on Rebind.
+// created frames, data round-trips, clone isolation, and an emptied write
+// shadow on Rebind.
 func TestFlatBackingSemantics(t *testing.T) {
 	m := New(uarch.AlderLake12400F(), 3)
 	if err := m.MapUser(0x7e0000000000, 4*paging.Page4K, paging.Writable); err != nil {

@@ -68,10 +68,17 @@ type Machine struct {
 	noise    *rng.Source
 	ownNoise rng.Source
 	// backing is the write shadow of user frames, a dense slice indexed by
-	// PFN (flat array lookup on the data-movement path; clearing it on
-	// Rebind/Unbind is one array op). Grown lazily to the highest frame
-	// actually written, so an idle machine carries no backing at all.
+	// PFN (flat array lookup on the data-movement path). Grown lazily to
+	// the highest frame actually written, so an idle machine carries no
+	// backing at all. Frames are copy-on-write: a frame may be shared with
+	// snapshots and with other machines that adopted one, and is then
+	// immutable; only a frame the machine owns (owned[pfn], same length as
+	// backing) is written in place (see frameData). written lists the PFNs
+	// that hold a frame, so Snapshot, Adopt and Rebind visit the written
+	// frames only, not every slot up to the highest PFN.
 	backing []*[phys.FrameSize]byte
+	owned   []bool
+	written []phys.PFN
 
 	visitBuf []phys.PFN
 	// evictBuf backs the hoisted eviction walk of MeasureEvictedBatch; it
@@ -220,7 +227,7 @@ func (m *Machine) Rebind(parent *Machine) {
 		m.PTELines.Flush()
 	}
 	m.Counters.Reset()
-	clear(m.backing)
+	m.dropFrames()
 }
 
 // Unbind drops a pooled replica's references to its parent's victim state
@@ -232,7 +239,7 @@ func (m *Machine) Unbind() {
 	m.KernelAS = nil
 	m.UserAS = nil
 	m.Alloc = nil
-	clear(m.backing)
+	m.dropFrames()
 }
 
 // ReseedNoise restarts the measurement-noise stream from seed, in place and
@@ -269,6 +276,14 @@ func (m *Machine) SwapNoise(src *rng.Source) *rng.Source {
 // after a Restore is a pure function of (victim image, snapshot, seed),
 // never of what ran in between.
 //
+// The write shadow is held by reference, not copied: a snapshot points at
+// the machine's frames, and a frame is immutable from the moment it is
+// shared. Snapshots, session checkpoints, cached calibrations and every
+// machine that adopted one share each unchanged frame; the first write to
+// a shared frame copies that one frame (see frameData). A snapshot is
+// therefore never changed by anything the machine does afterwards, and any
+// number of machines may adopt one concurrently.
+//
 // A snapshot taken on machine A applies to any machine whose memory image
 // is bit-identical to A's: that is what lets a service session skip
 // re-running calibration on a freshly booted replica of a known victim, and
@@ -283,20 +298,29 @@ type Snapshot struct {
 	tlb      tlb.Snapshot
 	psc      tlb.PSCSnapshot
 	pteLines ptecache.Snapshot
-	backing  []frameSave
+	frames   []frameRef
 
 	kernelVer, userVer uint64
 }
 
-// frameSave is the copied contents of one written user frame.
-type frameSave struct {
+// frameRef is one written user frame a snapshot shares.
+type frameRef struct {
 	pfn  phys.PFN
-	data [phys.FrameSize]byte
+	data *[phys.FrameSize]byte
 }
+
+// zeroFrame is what a read of a never-written frame sees. It is never
+// written: frameData always hands out a frame of the machine's own.
+var zeroFrame [phys.FrameSize]byte
 
 // Snapshot captures the machine's replayable state. Pair with Restore to
 // rewind a long-lived session machine to a saved point (post-calibration,
 // end of the previous behavior-spy window) between jobs.
+//
+// Snapshot writes to the machine: it shares every written frame with the
+// snapshot and marks it no longer owned, so the machine's next write to a
+// frame copies it first. Its cost is one frame reference per written
+// frame, whatever the frames hold.
 func (m *Machine) Snapshot() Snapshot {
 	s := Snapshot{
 		tsc:       m.tsc,
@@ -309,9 +333,11 @@ func (m *Machine) Snapshot() Snapshot {
 		kernelVer: m.KernelAS.Version(),
 		userVer:   m.UserAS.Version(),
 	}
-	for pfn, b := range m.backing {
-		if b != nil {
-			s.backing = append(s.backing, frameSave{pfn: phys.PFN(pfn), data: *b})
+	if len(m.written) > 0 {
+		s.frames = make([]frameRef, len(m.written))
+		for i, pfn := range m.written {
+			m.owned[pfn] = false
+			s.frames[i] = frameRef{pfn: pfn, data: m.backing[pfn]}
 		}
 	}
 	return s
@@ -323,7 +349,8 @@ func (m *Machine) Snapshot() Snapshot {
 // set back exactly. It fails if the page tables have been structurally
 // mutated (map/unmap/protect or A/D-bit updates) since the snapshot — the
 // one class of state a snapshot does not carry; probe-only attacks never
-// trip it.
+// trip it. The write shadow is rewound by re-pointing it at the
+// snapshot's shared frames (see Adopt), so no frame is copied.
 func (m *Machine) Restore(s Snapshot) error {
 	if err := m.Fire(fault.Restore); err != nil {
 		return err
@@ -344,6 +371,13 @@ func (m *Machine) Restore(s Snapshot) error {
 // reproduces (a fresh boot of the same victim configuration replaying a
 // cached calibration). The caller asserts image equivalence; on the same
 // machine, prefer Restore, which verifies it.
+//
+// The machine's write shadow is re-pointed at the snapshot's frames, which
+// it then shares but does not own: the snapshot is only read, so machines
+// on different goroutines may adopt one snapshot at the same time, and
+// each copies a frame only when it first writes to it. The cost is a
+// pointer write per frame the machine or the snapshot holds, and no frame
+// copy.
 func (m *Machine) Adopt(s Snapshot) {
 	m.tsc = s.tsc
 	m.ownNoise = s.noise
@@ -353,11 +387,20 @@ func (m *Machine) Adopt(s Snapshot) {
 	m.TLB.Restore(s.tlb)
 	m.PSC.Restore(s.psc)
 	m.PTELines.Restore(s.pteLines)
-	clear(m.backing)
-	for i := range s.backing {
-		fs := &s.backing[i]
-		*m.frameData(fs.pfn) = fs.data
+	m.dropFrames()
+	for _, f := range s.frames {
+		m.growBacking(f.pfn)
+		m.backing[f.pfn] = f.data
+		m.written = append(m.written, f.pfn)
 	}
+}
+
+// dropFrames empties the write shadow, keeping its slices for reuse.
+func (m *Machine) dropFrames() {
+	for _, pfn := range m.written {
+		m.backing[pfn], m.owned[pfn] = nil, false
+	}
+	m.written = m.written[:0]
 }
 
 // Fire draws the next fault decision for site s from the machine's plan
@@ -664,15 +707,14 @@ func (m *Machine) moveData(op avx.Op, moved []int, r *Result) {
 			// kernel view's A/D bits coherent for user pages it also maps.
 			_ = m.KernelAS.MarkAccess(page, op.Store)
 		}
-		buf := m.frameData(w.PFN)
 		off := uint64(ea) & (phys.FrameSize - 1)
 		if int(off)+int(op.Elem) > phys.FrameSize {
 			continue // straddling element's tail page handled separately
 		}
 		if op.Store {
-			putLE32(buf[off:], m.elemBuf[i])
+			putLE32(m.frameData(w.PFN)[off:], m.elemBuf[i])
 		} else {
-			r.Data[i] = getLE32(buf[off:])
+			r.Data[i] = getLE32(m.frameRead(w.PFN)[off:])
 		}
 	}
 	if op.Store {
@@ -701,27 +743,55 @@ func (m *Machine) refreshTLBFlags(page paging.VirtAddr, w paging.Walk) {
 // SetVector loads the source register used by subsequent masked stores.
 func (m *Machine) SetVector(vals [8]uint32) { m.elemBuf = vals }
 
-// frameData returns (lazily creating) the byte backing of a user frame.
-// The backing slice is indexed directly by PFN and grown to the highest
+// frameData returns the byte backing of a user frame for writing. The
+// backing slice is indexed directly by PFN and grown to the highest
 // written frame: user frames are handed out by the bump allocator early in
 // a machine's life, so the slice stays small and lookups are one bounds
-// check and one load instead of a map probe.
+// check and one load instead of a map probe. A frame the machine does not
+// own — never written, or shared with a snapshot — is first replaced by a
+// private copy (zeros for a never-written frame), so a write copies at most
+// this one frame and never reaches a shared one.
 func (m *Machine) frameData(pfn phys.PFN) *[phys.FrameSize]byte {
-	if int(pfn) >= len(m.backing) {
-		n := int(pfn) + 1
-		if n < 2*len(m.backing) {
-			n = 2 * len(m.backing) // amortize growth as PFNs climb
+	m.growBacking(pfn)
+	if !m.owned[pfn] {
+		b := new([phys.FrameSize]byte)
+		if shared := m.backing[pfn]; shared != nil {
+			*b = *shared
+		} else {
+			m.written = append(m.written, pfn)
 		}
-		grown := make([]*[phys.FrameSize]byte, n)
-		copy(grown, m.backing)
-		m.backing = grown
+		m.backing[pfn], m.owned[pfn] = b, true
 	}
-	b := m.backing[pfn]
-	if b == nil {
-		b = new([phys.FrameSize]byte)
-		m.backing[pfn] = b
+	return m.backing[pfn]
+}
+
+// frameRead returns the byte backing of a user frame for reading: the
+// frame itself, shared or owned, or the shared zero frame for one never
+// written. It allocates nothing, and its result must not be written.
+func (m *Machine) frameRead(pfn phys.PFN) *[phys.FrameSize]byte {
+	if int(pfn) < len(m.backing) {
+		if b := m.backing[pfn]; b != nil {
+			return b
+		}
 	}
-	return b
+	return &zeroFrame
+}
+
+// growBacking extends the write shadow to cover pfn, doubling to amortize
+// growth as PFNs climb.
+func (m *Machine) growBacking(pfn phys.PFN) {
+	if int(pfn) < len(m.backing) {
+		return
+	}
+	n := int(pfn) + 1
+	if n < 2*len(m.backing) {
+		n = 2 * len(m.backing)
+	}
+	backing := make([]*[phys.FrameSize]byte, n)
+	copy(backing, m.backing)
+	owned := make([]bool, n)
+	copy(owned, m.owned)
+	m.backing, m.owned = backing, owned
 }
 
 // ReadUser reads n bytes of user memory at va (test/diagnostic helper;
@@ -735,7 +805,7 @@ func (m *Machine) ReadUser(va paging.VirtAddr, n int) ([]byte, error) {
 		if !w.Mapped || !w.Flags.Has(paging.User) {
 			return nil, fmt.Errorf("machine: read of unmapped user address %#x", uint64(va))
 		}
-		buf := m.frameData(w.PFN)
+		buf := m.frameRead(w.PFN)
 		off := int(uint64(va) & (phys.FrameSize - 1))
 		take := phys.FrameSize - off
 		if take > n {

@@ -28,9 +28,6 @@
 // the simulator: a machine.Machine replica sharing the victim's address
 // spaces copy-on-read, with private TLB/PSC/PTE-line/counter/noise state —
 // see Machine.Clone), so workers never contend on shared mutable state.
-// An optional skip list (Engine.SetSkip) excludes indices — the user-scan
-// store pass skips pages its load pass read as unmapped — without
-// consuming probes or noise.
 //
 // # Worker contract
 //
@@ -38,9 +35,8 @@
 // probes the chunk, Elapsed reports the simulated cycles the chunk cost.
 // The engine hands ProbeChunk the chunk's index range and the
 // preallocated per-shard windows of the shared result slices, and the
-// worker writes verdicts and measurements straight into them; skipped
-// indices already hold the skip verdict, and the worker must not probe
-// them. There is no per-index path: the core workers feed each chunk to
+// worker writes verdicts and measurements straight into them. There is
+// no per-index path: the core workers feed each chunk to
 // their prober's batch window (one masked-op slice for
 // machine.MeasureBatch, so op plumbing and reduction setup are paid once
 // per chunk, and all scratch lives on the pooled prober, so a steady-state

@@ -24,12 +24,8 @@ type Worker[V comparable] interface {
 	// ProbeChunk probes the indices [lo, hi) — index i at start + i*stride
 	// for address sweeps, tick i for temporal ones — writing index i's
 	// verdict and decision measurement to verdicts[i-lo] and cycles[i-lo],
-	// windows of the engine's shared result slices. Indices for which skip
-	// (nil when the scan skips nothing) reports true already hold the skip
-	// verdict and zero cycles: the worker must leave them untouched and
-	// consume no probe and no noise for them.
-	ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-		skip func(i int) bool, verdicts []V, cycles []float64)
+	// windows of the engine's shared result slices.
+	ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int, verdicts []V, cycles []float64)
 	// Elapsed returns the simulated cycles consumed since the last Start.
 	Elapsed() uint64
 }
@@ -74,8 +70,6 @@ type Config struct {
 type Engine[V comparable] struct {
 	cfg     Config
 	factory Factory[V]
-	skip    func(i int) bool
-	skipV   V
 }
 
 // New creates an engine. The factory is invoked once per shard at the start
@@ -91,14 +85,6 @@ func New[V comparable](cfg Config, factory Factory[V]) *Engine[V] {
 		cfg.HealSamples = 3
 	}
 	return &Engine[V]{cfg: cfg, factory: factory}
-}
-
-// SetSkip excludes indices from probing and healing: a skipped index gets
-// verdict v and zero cycles without consuming a probe or any of the chunk's
-// noise stream, so skipping keeps chunk determinism intact (the user-scan
-// store pass skips the pages its load pass read as unmapped).
-func (e *Engine[V]) SetSkip(skip func(i int) bool, v V) {
-	e.skip, e.skipV = skip, v
 }
 
 // Result is one scan's merged output.
@@ -165,17 +151,10 @@ func (e *Engine[V]) Scan(start paging.VirtAddr, n int, stride uint64) Result[V] 
 			if hi > n {
 				hi = n
 			}
-			if e.skip != nil {
-				for i := lo; i < hi; i++ {
-					if e.skip(i) {
-						verdicts[i] = e.skipV
-					}
-				}
-			}
 			wk.Start(StreamSeed(e.cfg.Seed, uint64(c)))
 			// The worker owns the whole chunk: it writes straight into its
 			// disjoint window of the shared result slices.
-			wk.ProbeChunk(start, stride, lo, hi, e.skip, verdicts[lo:hi], cycles[lo:hi])
+			wk.ProbeChunk(start, stride, lo, hi, verdicts[lo:hi], cycles[lo:hi])
 			local += wk.Elapsed()
 		}
 		sh.sim.Add(local)
@@ -202,8 +181,7 @@ func (e *Engine[V]) Scan(start paging.VirtAddr, n int, stride uint64) Result[V] 
 // stable under the re-probe: noise is additive, so the minimum converges to
 // the true class latency and the verdict stands. The pass runs
 // single-threaded in ascending index order on a chunk-independent seed, so
-// its output depends only on the merged first-pass result. Skipped indices
-// are neither healed nor re-probed.
+// its output depends only on the merged first-pass result.
 func (e *Engine[V]) heal(res *Result[V], start paging.VirtAddr, n int, stride uint64, w Worker[V]) {
 	h, ok := w.(Healer[V])
 	if !ok {
@@ -211,9 +189,6 @@ func (e *Engine[V]) heal(res *Result[V], start paging.VirtAddr, n int, stride ui
 	}
 	w.Start(StreamSeed(e.cfg.Seed, uint64(res.Chunks)+1))
 	for i := 0; i < n; i++ {
-		if e.skip != nil && e.skip(i) {
-			continue
-		}
 		left := i > 0 && res.Verdicts[i-1] != res.Verdicts[i]
 		right := i < n-1 && res.Verdicts[i+1] != res.Verdicts[i]
 		if !(left || right) {

@@ -25,7 +25,6 @@ type detWorker[V comparable] struct {
 	probed map[paging.VirtAddr]int
 
 	seed, n, elapsed uint64
-	chunks           int
 	healed           []paging.VirtAddr
 }
 
@@ -55,12 +54,8 @@ func (w *detWorker[V]) probe(va paging.VirtAddr) float64 {
 }
 
 func (w *detWorker[V]) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
-	skip func(int) bool, verdicts []V, cycles []float64) {
-	w.chunks++
+	verdicts []V, cycles []float64) {
 	for i := lo; i < hi; i++ {
-		if skip != nil && skip(i) {
-			continue
-		}
 		c := w.probe(start + paging.VirtAddr(uint64(i)*stride))
 		cycles[i-lo], verdicts[i-lo] = c, w.classify(c)
 	}
@@ -136,66 +131,6 @@ func TestScanFindsMappedRun(t *testing.T) {
 	}
 	if res.Chunks != (1000+63)/64 {
 		t.Fatalf("chunks = %d", res.Chunks)
-	}
-}
-
-// The engine must support non-bool verdicts with skipped indices: a
-// skipped index gets the skip verdict and zero cycles, its VA is never
-// probed (no noise draw — the determinism contract of the user-scan store
-// pass), and it is excluded from healing.
-func TestScanSkipIndices(t *testing.T) {
-	start := paging.VirtAddr(0x1000000)
-	lo := start
-	hi := start + paging.VirtAddr(1000*testStride)
-	probed := make(map[paging.VirtAddr]int)
-	w := &detWorker[int]{mappedLo: lo, mappedHi: hi, classify: writableClass, probed: probed}
-	eng := New(Config{Workers: 1, ChunkPages: 64, Seed: 9}, func(id int) Worker[int] { return w })
-	skip := func(i int) bool { return i%3 == 0 }
-	eng.SetSkip(skip, 3) // neither class writableClass returns
-	const n = 600
-	res := eng.Scan(start, n, testStride)
-	for i := 0; i < n; i++ {
-		va := start + paging.VirtAddr(uint64(i)*testStride)
-		if skip(i) {
-			if res.Verdicts[i] != 3 || res.Cycles[i] != 0 {
-				t.Fatalf("index %d: skipped index has verdict %d, cycles %v", i, res.Verdicts[i], res.Cycles[i])
-			}
-			if probed[va] != 0 {
-				t.Fatalf("index %d: skipped index probed %d times", i, probed[va])
-			}
-			continue
-		}
-		if probed[va] == 0 {
-			t.Fatalf("index %d: probe-able index never probed", i)
-		}
-		if res.Verdicts[i] == 3 {
-			t.Fatalf("index %d: probed index has skip verdict", i)
-		}
-	}
-	if w.chunks != (n+63)/64 {
-		t.Fatalf("ProbeChunk ran for %d chunks, want %d", w.chunks, (n+63)/64)
-	}
-}
-
-// Skipped scans must stay bit-identical across worker counts too.
-func TestScanSkipParallelParity(t *testing.T) {
-	start := paging.VirtAddr(0x1000000)
-	run := func(workers int) Result[int] {
-		eng := New(Config{Workers: workers, ChunkPages: 64, Seed: 17}, func(id int) Worker[int] {
-			return &detWorker[int]{mappedLo: start, mappedHi: start + paging.VirtAddr(1000*testStride), classify: writableClass}
-		})
-		eng.SetSkip(func(i int) bool { return i%5 == 2 }, 0)
-		return eng.Scan(start, 777, testStride)
-	}
-	seq := run(1)
-	for _, w := range []int{2, 8} {
-		par := run(w)
-		if !reflect.DeepEqual(seq.Verdicts, par.Verdicts) || !reflect.DeepEqual(seq.Cycles, par.Cycles) {
-			t.Fatalf("workers=%d: skipped scan differs from sequential", w)
-		}
-		if seq.SimCycles != par.SimCycles {
-			t.Fatalf("workers=%d: SimCycles differ", w)
-		}
 	}
 }
 

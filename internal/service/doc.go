@@ -32,7 +32,10 @@
 //     consecutive windows of one victim's day, bit-identical to one long
 //     direct run. Restore verifies the page tables were not mutated in
 //     between (machine.Snapshot's version guard), so every job remains a
-//     pure function of (victim image, session state, spec).
+//     pure function of (victim image, session state, spec). Snapshots
+//     share the session machine's user frames copy-on-write, so the
+//     restore before a job and the checkpoint after it cost a pointer per
+//     written frame, not a copy of the frames.
 //   - Calibrations: the first session for a victim configuration records
 //     its thresholds and post-calibration execution state
 //     (core.Calibration); later sessions for the same configuration boot
