@@ -18,7 +18,8 @@
 #                    bench-smoke
 #   make bench     - the Go micro-benchmarks (machine ops, the per-VA and
 #                    batched probes, scan sweeps, the defense matrix
-#                    through the scheduler; root, internal/core and
+#                    through the scheduler, one cold session build per
+#                    spatial spec; root, internal/core and
 #                    internal/service packages); prints
 #                    the results and records nothing. End-to-end numbers
 #                    come from bench/run.sh (see bench/README.md).
@@ -55,4 +56,4 @@ bench-smoke:
 	done
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix|BenchmarkExecMasked|BenchmarkProbeMapped|BenchmarkProbeBatch' -benchmem . ./internal/core ./internal/service
+	$(GO) test -run '^$$' -bench 'BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix|BenchmarkSessionBuild|BenchmarkExecMasked|BenchmarkProbeMapped|BenchmarkProbeBatch' -benchmem . ./internal/core ./internal/service

@@ -1,6 +1,7 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (the per-experiment index is in DESIGN.md, the measured-vs-
-// paper record in EXPERIMENTS.md).
+// evaluation. The experiments themselves live in internal/experiments,
+// and internal/experiments/testdata/paper.golden records each one's
+// paper claim beside the measured value.
 //
 // Two kinds of numbers come out of each bench:
 //
@@ -33,8 +34,8 @@ import (
 )
 
 // benchScale keeps the full bench sweep within a few minutes while
-// preserving every experiment's structure; EXPERIMENTS.md records the
-// extrapolations for the scaled ones.
+// preserving every experiment's structure (experiments.Scale documents
+// each scaled parameter against the paper's value).
 func benchScale() experiments.Scale {
 	sc := experiments.DefaultScale()
 	sc.TrialsBase = 300
@@ -567,7 +568,7 @@ func BenchmarkAblationMinOfK(b *testing.B) {
 }
 
 // BenchmarkAblationPSC contrasts probe cost with and without the paging-
-// structure caches (a simulator design choice DESIGN.md calls out).
+// structure caches (a simulator design choice, modelled by tlb.PSC).
 func BenchmarkAblationPSC(b *testing.B) {
 	preset := uarch.Zen3_5600X()
 	cost := func(psc bool) float64 {

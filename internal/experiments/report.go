@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation on the simulator. Each experiment returns a Report holding the
 // rendered output, the paper's claim, the measured value and a shape check
-// — the per-experiment index lives in DESIGN.md and the measured-vs-paper
-// record in EXPERIMENTS.md.
+// — testdata/paper.golden records the test-scale reports, each one's paper
+// claim beside the measured value.
 //
 // Experiments whose paper-scale parameters are hostile to CI accept a
 // Scale; DefaultScale keeps everything under a few seconds, PaperScale
@@ -99,8 +99,8 @@ func DefaultScale() Scale {
 }
 
 // PaperScale reproduces the paper's parameters where feasible (the 28-bit
-// user scan remains capped at 24 bits; EXPERIMENTS.md documents the
-// extrapolation).
+// user scan remains capped at 24 bits; its report extrapolates the runtime
+// to 28 bits).
 func PaperScale() Scale {
 	s := DefaultScale()
 	s.TrialsBase = 10000

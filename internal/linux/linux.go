@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/paging"
+	"repro/internal/phys"
 	"repro/internal/rng"
 )
 
@@ -279,9 +280,17 @@ func (k *Kernel) loadModules(r *rng.Source) error {
 // uniformly mapped address space. Dummy pages are never executed, so they
 // never appear in the TLB — the residual signal the paper exploits.
 func (k *Kernel) mapFlareDummies() error {
+	// The boot walks tens of thousands of addresses; one walk buffer
+	// serves them all.
+	var visited []phys.PFN
+	mapped := func(va paging.VirtAddr) bool {
+		w := k.kernelAS.Translate(va, visited)
+		visited = w.Visited
+		return w.Mapped
+	}
 	for s := 0; s < TextSlots; s++ {
 		va := TextRegionBase + paging.VirtAddr(uint64(s)<<21)
-		if w := k.kernelAS.Translate(va, nil); w.Mapped {
+		if mapped(va) {
 			continue
 		}
 		// Skip slots that contain any 4 KiB mappings (sparse image slots).
@@ -290,7 +299,7 @@ func (k *Kernel) mapFlareDummies() error {
 				// Fill the sparse slot's holes with 4 KiB dummies.
 				for off := uint64(0); off < paging.Page2M; off += paging.Page4K {
 					pva := va + paging.VirtAddr(off)
-					if w := k.kernelAS.Translate(pva, nil); w.Mapped {
+					if mapped(pva) {
 						continue
 					}
 					if err := k.kernelAS.Map(pva, paging.Page4K, k.m.Alloc.Alloc(), paging.Global); err != nil {
@@ -307,7 +316,7 @@ func (k *Kernel) mapFlareDummies() error {
 	}
 	for off := uint64(0); off < ModuleRegionSize; off += paging.Page4K {
 		va := ModuleRegionBase + paging.VirtAddr(off)
-		if w := k.kernelAS.Translate(va, nil); w.Mapped {
+		if mapped(va) {
 			continue
 		}
 		if err := k.kernelAS.Map(va, paging.Page4K, k.m.Alloc.Alloc(), paging.Global); err != nil {

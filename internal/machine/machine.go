@@ -13,7 +13,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/avx"
 	"repro/internal/fault"
@@ -67,18 +69,18 @@ type Machine struct {
 	// load and store streams per chunk) without disturbing ownNoise.
 	noise    *rng.Source
 	ownNoise rng.Source
-	// backing is the write shadow of user frames, a dense slice indexed by
-	// PFN (flat array lookup on the data-movement path). Grown lazily to
-	// the highest frame actually written, so an idle machine carries no
-	// backing at all. Frames are copy-on-write: a frame may be shared with
+	// frames is the write shadow of user memory: one entry per written
+	// frame, sorted by PFN (binary search on the data-movement path); a
+	// frame with no entry reads as zeros. It grows with the number of
+	// frames written, not with the highest PFN, so an idle machine carries
+	// nothing and one write to a high frame costs one frame. A store that
+	// leaves a frame's bytes as they are creates no entry (see moveData),
+	// and a frame no address space maps any more is dropped (see
+	// UnmapUser). Frames are copy-on-write: a frame may be shared with
 	// snapshots and with other machines that adopted one, and is then
-	// immutable; only a frame the machine owns (owned[pfn], same length as
-	// backing) is written in place (see frameData). written lists the PFNs
-	// that hold a frame, so Snapshot, Adopt and Rebind visit the written
-	// frames only, not every slot up to the highest PFN.
-	backing []*[phys.FrameSize]byte
-	owned   []bool
-	written []phys.PFN
+	// immutable; only a frame the machine owns is written in place (see
+	// frameData).
+	frames []userFrame
 
 	visitBuf []phys.PFN
 	// evictBuf backs the hoisted eviction walk of MeasureEvictedBatch; it
@@ -269,12 +271,12 @@ func (m *Machine) SwapNoise(src *rng.Source) *rng.Source {
 // execution state (clock, own-noise-stream position, performance-counter
 // bank, enclave mode) plus the mutable victim-visible state — the contents
 // of the TLB, the paging-structure caches and the PTE-line cache, and the
-// write shadow of every user frame written since boot (the address-space
-// data delta). Page-table *structure* is deliberately not copied; instead
-// the snapshot records the address spaces' mutation versions, and Restore
-// refuses to apply once the tables have changed — so everything replayed
-// after a Restore is a pure function of (victim image, snapshot, seed),
-// never of what ran in between.
+// write shadow of every user frame written since boot and still mapped
+// (the address-space data delta). Page-table *structure* is deliberately
+// not copied; instead the snapshot records the address spaces' mutation
+// versions, and Restore refuses to apply once the tables have changed — so
+// everything replayed after a Restore is a pure function of (victim image,
+// snapshot, seed), never of what ran in between.
 //
 // The write shadow is held by reference, not copied: a snapshot points at
 // the machine's frames, and a frame is immutable from the moment it is
@@ -309,6 +311,13 @@ type frameRef struct {
 	data *[phys.FrameSize]byte
 }
 
+// userFrame is one entry of a machine's write shadow: a written frame and
+// whether the machine owns it (may write it in place) or shares it.
+type userFrame struct {
+	frameRef
+	owned bool
+}
+
 // zeroFrame is what a read of a never-written frame sees. It is never
 // written: frameData always hands out a frame of the machine's own.
 var zeroFrame [phys.FrameSize]byte
@@ -333,11 +342,11 @@ func (m *Machine) Snapshot() Snapshot {
 		kernelVer: m.KernelAS.Version(),
 		userVer:   m.UserAS.Version(),
 	}
-	if len(m.written) > 0 {
-		s.frames = make([]frameRef, len(m.written))
-		for i, pfn := range m.written {
-			m.owned[pfn] = false
-			s.frames[i] = frameRef{pfn: pfn, data: m.backing[pfn]}
+	if len(m.frames) > 0 {
+		s.frames = make([]frameRef, len(m.frames))
+		for i := range m.frames {
+			m.frames[i].owned = false
+			s.frames[i] = m.frames[i].frameRef
 		}
 	}
 	return s
@@ -389,18 +398,14 @@ func (m *Machine) Adopt(s Snapshot) {
 	m.PTELines.Restore(s.pteLines)
 	m.dropFrames()
 	for _, f := range s.frames {
-		m.growBacking(f.pfn)
-		m.backing[f.pfn] = f.data
-		m.written = append(m.written, f.pfn)
+		m.frames = append(m.frames, userFrame{frameRef: f})
 	}
 }
 
-// dropFrames empties the write shadow, keeping its slices for reuse.
+// dropFrames empties the write shadow, keeping its slice for reuse.
 func (m *Machine) dropFrames() {
-	for _, pfn := range m.written {
-		m.backing[pfn], m.owned[pfn] = nil, false
-	}
-	m.written = m.written[:0]
+	clear(m.frames)
+	m.frames = m.frames[:0]
 }
 
 // Fire draws the next fault decision for site s from the machine's plan
@@ -691,28 +696,43 @@ func (m *Machine) assistCost(op avx.Op) float64 {
 }
 
 // moveData copies element data between the vector register and backing
-// memory for the moved elements, and performs the A/D-bit updates.
+// memory for the moved elements, and performs the A/D-bit updates. The
+// elements of an op cover at most two pages in address order, so each page
+// is walked and marked once, when its first element moves (marking a page
+// again changes no bit). A stored element equal to the bytes already in
+// memory changes nothing, so it touches no frame: a store of zeros to a
+// never-written page allocates nothing.
 func (m *Machine) moveData(op avx.Op, moved []int, r *Result) {
+	var w paging.Walk
+	havePage := false
 	for _, i := range moved {
 		ea := op.ElemAddr(i)
 		page := paging.PageBase(ea, paging.Page4K)
-		w := m.UserAS.Translate(page, m.visitBuf)
-		m.visitBuf = w.Visited
+		if !havePage || page != w.VA {
+			w = m.UserAS.Translate(page, m.visitBuf)
+			m.visitBuf = w.Visited
+			havePage = true
+			if w.Mapped {
+				m.UserAS.MarkAccess(page, op.Store)
+				if m.UserAS != m.KernelAS {
+					// Leaf frames are shared between the KPTI views; keep
+					// the kernel view's A/D bits coherent for user pages it
+					// also maps.
+					_ = m.KernelAS.MarkAccess(page, op.Store)
+				}
+			}
+		}
 		if !w.Mapped {
 			continue
-		}
-		m.UserAS.MarkAccess(page, op.Store)
-		if m.UserAS != m.KernelAS {
-			// Leaf frames are shared between the KPTI views; keep the
-			// kernel view's A/D bits coherent for user pages it also maps.
-			_ = m.KernelAS.MarkAccess(page, op.Store)
 		}
 		off := uint64(ea) & (phys.FrameSize - 1)
 		if int(off)+int(op.Elem) > phys.FrameSize {
 			continue // straddling element's tail page handled separately
 		}
 		if op.Store {
-			putLE32(m.frameData(w.PFN)[off:], m.elemBuf[i])
+			if v := m.elemBuf[i]; getLE32(m.frameRead(w.PFN)[off:]) != v {
+				putLE32(m.frameData(w.PFN)[off:], v)
+			}
 		} else {
 			r.Data[i] = getLE32(m.frameRead(w.PFN)[off:])
 		}
@@ -743,55 +763,39 @@ func (m *Machine) refreshTLBFlags(page paging.VirtAddr, w paging.Walk) {
 // SetVector loads the source register used by subsequent masked stores.
 func (m *Machine) SetVector(vals [8]uint32) { m.elemBuf = vals }
 
-// frameData returns the byte backing of a user frame for writing. The
-// backing slice is indexed directly by PFN and grown to the highest
-// written frame: user frames are handed out by the bump allocator early in
-// a machine's life, so the slice stays small and lookups are one bounds
-// check and one load instead of a map probe. A frame the machine does not
-// own — never written, or shared with a snapshot — is first replaced by a
-// private copy (zeros for a never-written frame), so a write copies at most
-// this one frame and never reaches a shared one.
+// frameData returns the byte backing of a user frame for writing. A frame
+// the machine does not own — never written, or shared with a snapshot — is
+// first replaced by a private copy (zeros for a never-written frame), so a
+// write copies at most this one frame and never reaches a shared one.
 func (m *Machine) frameData(pfn phys.PFN) *[phys.FrameSize]byte {
-	m.growBacking(pfn)
-	if !m.owned[pfn] {
+	i, found := m.findFrame(pfn)
+	if !found {
+		f := userFrame{frameRef: frameRef{pfn: pfn, data: new([phys.FrameSize]byte)}, owned: true}
+		m.frames = slices.Insert(m.frames, i, f)
+	} else if f := &m.frames[i]; !f.owned {
 		b := new([phys.FrameSize]byte)
-		if shared := m.backing[pfn]; shared != nil {
-			*b = *shared
-		} else {
-			m.written = append(m.written, pfn)
-		}
-		m.backing[pfn], m.owned[pfn] = b, true
+		*b = *f.data
+		f.data, f.owned = b, true
 	}
-	return m.backing[pfn]
+	return m.frames[i].data
 }
 
 // frameRead returns the byte backing of a user frame for reading: the
 // frame itself, shared or owned, or the shared zero frame for one never
 // written. It allocates nothing, and its result must not be written.
 func (m *Machine) frameRead(pfn phys.PFN) *[phys.FrameSize]byte {
-	if int(pfn) < len(m.backing) {
-		if b := m.backing[pfn]; b != nil {
-			return b
-		}
+	if i, found := m.findFrame(pfn); found {
+		return m.frames[i].data
 	}
 	return &zeroFrame
 }
 
-// growBacking extends the write shadow to cover pfn, doubling to amortize
-// growth as PFNs climb.
-func (m *Machine) growBacking(pfn phys.PFN) {
-	if int(pfn) < len(m.backing) {
-		return
-	}
-	n := int(pfn) + 1
-	if n < 2*len(m.backing) {
-		n = 2 * len(m.backing)
-	}
-	backing := make([]*[phys.FrameSize]byte, n)
-	copy(backing, m.backing)
-	owned := make([]bool, n)
-	copy(owned, m.owned)
-	m.backing, m.owned = backing, owned
+// findFrame returns the position of pfn in the write shadow, or where it
+// would be inserted, and whether it is there.
+func (m *Machine) findFrame(pfn phys.PFN) (int, bool) {
+	return slices.BinarySearchFunc(m.frames, pfn, func(f userFrame, pfn phys.PFN) int {
+		return cmp.Compare(f.pfn, pfn)
+	})
 }
 
 // ReadUser reads n bytes of user memory at va (test/diagnostic helper;
@@ -1017,12 +1021,41 @@ func (m *Machine) MapUser(va paging.VirtAddr, length uint64, flags paging.Flags)
 func (m *Machine) UnmapUser(va paging.VirtAddr, length uint64) error {
 	m.tsc += uint64(m.Preset.SyscallCost)
 	for off := uint64(0); off < length; off += phys.FrameSize {
-		if err := m.UserAS.Unmap(va + paging.VirtAddr(off)); err != nil {
+		page := va + paging.VirtAddr(off)
+		m.dropUnmappedFrame(page)
+		if err := m.UserAS.Unmap(page); err != nil {
 			return err
 		}
-		m.TLB.Invalidate(va + paging.VirtAddr(off))
+		m.TLB.Invalidate(page)
 	}
 	return nil
+}
+
+// dropUnmappedFrame drops the write-shadow frame of the user page at va,
+// which is about to be unmapped, unless the KPTI kernel view maps the same
+// frame there too. Every mapping takes fresh frames from the bump
+// allocator, which never hands a PFN out twice, so once no view maps the
+// frame nothing can read it again; keeping it would only pin its bytes in
+// every later snapshot.
+func (m *Machine) dropUnmappedFrame(va paging.VirtAddr) {
+	if len(m.frames) == 0 {
+		return // nothing to drop: spare the walks
+	}
+	w := m.UserAS.Translate(va, m.visitBuf)
+	m.visitBuf = w.Visited
+	if !w.Mapped {
+		return
+	}
+	if m.UserAS != m.KernelAS {
+		kw := m.KernelAS.Translate(va, m.visitBuf)
+		m.visitBuf = kw.Visited
+		if kw.Mapped && kw.PFN == w.PFN {
+			return
+		}
+	}
+	if i, found := m.findFrame(w.PFN); found {
+		m.frames = slices.Delete(m.frames, i, i+1)
+	}
 }
 
 // ProtectUser changes user page permissions (mprotect model).

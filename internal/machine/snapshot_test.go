@@ -162,15 +162,16 @@ func checkContinuation(t testing.TB, label string, m *Machine, p *snapshotPoint)
 // snapshotRoundTrip drives the property the whole session layer rests on,
 // across frames that snapshots and machines share. It warms m up with an
 // arbitrary op sequence and takes a first snapshot; it writes every frame,
-// rewinds, and records the continuation that follows the snapshot. A same-seed sibling with the same image
-// adopts that snapshot, must see its user memory, and then writes every
-// frame and churns. (Its TLB contents are tagged with m's ASIDs, so only
-// its memory, not its timing, is compared.) m churns, takes a second snapshot, and churns
-// more. Then m rewinds to each snapshot, oldest first, and must reproduce
-// its continuation bit for bit — or, if a page-table mutation ran after
-// the snapshot, Restore must refuse — and writes every frame after each
-// rewind. The sibling's writes and m's own writes after a rewind must
-// reach neither a snapshot nor the other machine.
+// rewinds, and records the continuation that follows the snapshot. A
+// same-seed sibling with the same image adopts that snapshot and must
+// reproduce the same continuation bit for bit — timings, clock, counters
+// and user memory — and then writes every frame and churns. m churns,
+// takes a second snapshot, and churns more. Then m rewinds to each
+// snapshot, oldest first, and must reproduce its continuation bit for
+// bit — or, if a page-table mutation ran after the snapshot, Restore must
+// refuse — and writes every frame after each rewind. The sibling's writes
+// and m's own writes after a rewind must reach neither a snapshot nor the
+// other machine.
 func snapshotRoundTrip(t testing.TB, seed uint64, warm, churn []byte) {
 	m := snapshotTestMachine(t, seed)
 	applyOps(m, warm)
@@ -204,9 +205,7 @@ func snapshotRoundTrip(t testing.TB, seed uint64, warm, churn []byte) {
 	sib := snapshotTestMachine(t, seed)
 	applyOps(sib, warm)
 	sib.Adopt(points[0].snap)
-	if string(readRegion(t, sib)) != string(points[0].data) {
-		t.Fatal("an adopting sibling does not see the snapshot's user memory")
-	}
+	checkContinuation(t, "adopting sibling", sib, points[0])
 	scribble(t, sib, 0xa5)
 	applyOps(sib, churn)
 	if string(readRegion(t, m)) != string(points[0].data) {
@@ -438,7 +437,7 @@ func TestReadOfUnwrittenPageAllocatesNoFrame(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("masked load of an unwritten page allocates %.1f/op, want 0", n)
 	}
-	if len(m.backing) != 0 {
-		t.Errorf("reads grew the write shadow to %d slots", len(m.backing))
+	if len(m.frames) != 0 {
+		t.Errorf("reads put %d frames in the write shadow", len(m.frames))
 	}
 }

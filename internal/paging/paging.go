@@ -11,7 +11,6 @@ package paging
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/phys"
 )
@@ -116,17 +115,20 @@ func (f Flags) String() string {
 	return s + "k"
 }
 
-// entry is one slot of a paging structure.
+// entry is one slot of a paging structure. Its fields are ordered so an
+// entry packs into 24 bytes and a table into 12 KiB, one allocation size
+// class with nothing wasted: every boot allocates thousands of tables.
 type entry struct {
-	flags Flags
-	pfn   phys.PFN // leaf: mapped frame; interior: frame of the next table
 	next  *table   // interior only
-	leaf  bool     // true if this entry maps a page (PS bit or PT level)
+	pfn   phys.PFN // leaf: mapped frame; interior: frame of the next table
+	flags Flags
+	leaf  bool // true if this entry maps a page (PS bit or PT level)
 }
 
-// table is one 512-entry paging structure backed by a physical frame.
+// table is one 512-entry paging structure. Its physical frame is recorded
+// where the table is referenced: in the interior entry pointing at it, or
+// in AddressSpace.rootFrame for the PML4.
 type table struct {
-	frame   phys.PFN
 	entries [512]entry
 }
 
@@ -145,10 +147,13 @@ func Canonical(va VirtAddr) bool {
 // AddressSpace is one set of page tables rooted at a PML4 (one CR3 value).
 // KPTI is modelled as two AddressSpaces per process sharing leaf frames.
 type AddressSpace struct {
-	alloc *phys.Allocator
-	root  *table
-	// ASID tags TLB entries; distinct address spaces get distinct ASIDs
-	// so the TLB can model PCID-tagged entries.
+	alloc     *phys.Allocator
+	root      *table
+	rootFrame phys.PFN
+	// ASID tags TLB entries; distinct address spaces of one machine get
+	// distinct ASIDs so the TLB can model PCID-tagged entries. They are
+	// numbered per allocator (phys.Allocator.NewASID), so a machine's
+	// ASIDs, like the rest of its state, follow from its build sequence.
 	ASID uint16
 	// version counts structural and flag mutations (Map/Unmap/Protect,
 	// A/D-bit updates). machine.Snapshot records it so Restore can verify
@@ -161,24 +166,19 @@ type AddressSpace struct {
 // with no page-table mutation of any kind.
 func (as *AddressSpace) Version() uint64 { return as.version }
 
-// nextASID is atomic: the service layer boots victim machines from
-// concurrent executors. Only ASID *distinctness* is observable (TLB tag
-// equality), so the allocation order — and therefore the concrete values —
-// never affects simulation output.
-var nextASID atomic.Uint32
-
 // NewAddressSpace creates an empty address space drawing page-table frames
 // from alloc.
 func NewAddressSpace(alloc *phys.Allocator) *AddressSpace {
 	return &AddressSpace{
-		alloc: alloc,
-		root:  &table{frame: alloc.Alloc()},
-		ASID:  uint16(nextASID.Add(1)),
+		alloc:     alloc,
+		root:      new(table),
+		rootFrame: alloc.Alloc(),
+		ASID:      alloc.NewASID(),
 	}
 }
 
 // RootPFN returns the physical frame of the PML4 (the CR3 value).
-func (as *AddressSpace) RootPFN() phys.PFN { return as.root.frame }
+func (as *AddressSpace) RootPFN() phys.PFN { return as.rootFrame }
 
 func (as *AddressSpace) childOf(t *table, idx int, flags Flags) (*table, error) {
 	e := &t.entries[idx]
@@ -188,8 +188,8 @@ func (as *AddressSpace) childOf(t *table, idx int, flags Flags) (*table, error) 
 		return nil, fmt.Errorf("paging: slot already mapped by a huge page")
 	}
 	if e.next == nil {
-		e.next = &table{frame: as.alloc.Alloc()}
-		e.pfn = e.next.frame
+		e.next = new(table)
+		e.pfn = as.alloc.Alloc()
 		e.flags = Present
 	}
 	// Interior entries accumulate the union of permissions beneath them,
@@ -381,16 +381,14 @@ func (as *AddressSpace) Translate(va VirtAddr, visited []phys.PFN) Walk {
 		w.TermLevel = LevelPML4
 		return w
 	}
-	t := as.root
-	w.Visited = append(w.Visited, t.frame)
-	e := &t.entries[pml4Index(va)]
+	w.Visited = append(w.Visited, as.rootFrame)
+	e := &as.root.entries[pml4Index(va)]
 	if !e.flags.Has(Present) {
 		w.TermLevel = LevelPML4
 		return w
 	}
-	t = e.next
-	w.Visited = append(w.Visited, t.frame)
-	e = &t.entries[pdptIndex(va)]
+	w.Visited = append(w.Visited, e.pfn)
+	e = &e.next.entries[pdptIndex(va)]
 	if !e.flags.Has(Present) {
 		w.TermLevel = LevelPDPT
 		return w
@@ -398,9 +396,8 @@ func (as *AddressSpace) Translate(va VirtAddr, visited []phys.PFN) Walk {
 	if e.leaf {
 		return as.finishWalk(w, va, e, LevelPDPT, Page1G)
 	}
-	t = e.next
-	w.Visited = append(w.Visited, t.frame)
-	e = &t.entries[pdIndex(va)]
+	w.Visited = append(w.Visited, e.pfn)
+	e = &e.next.entries[pdIndex(va)]
 	if !e.flags.Has(Present) {
 		w.TermLevel = LevelPD
 		return w
@@ -408,9 +405,8 @@ func (as *AddressSpace) Translate(va VirtAddr, visited []phys.PFN) Walk {
 	if e.leaf {
 		return as.finishWalk(w, va, e, LevelPD, Page2M)
 	}
-	t = e.next
-	w.Visited = append(w.Visited, t.frame)
-	e = &t.entries[ptIndex(va)]
+	w.Visited = append(w.Visited, e.pfn)
+	e = &e.next.entries[ptIndex(va)]
 	if !e.flags.Has(Present) {
 		w.TermLevel = LevelPT
 		return w

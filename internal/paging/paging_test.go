@@ -3,6 +3,7 @@ package paging
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/phys"
 )
@@ -334,5 +335,14 @@ func TestVisitedBufferReuse(t *testing.T) {
 	}
 	if cap(w.Visited) != cap(buf) {
 		t.Log("buffer grew — acceptable but unexpected for 4-level walk")
+	}
+}
+
+// A paging structure fills one 12 KiB allocation size class exactly: a
+// field added to entry, or reordered, would cost every boot a third more
+// page-table memory.
+func TestTableSize(t *testing.T) {
+	if got := unsafe.Sizeof(table{}); got != 12<<10 {
+		t.Fatalf("a paging structure takes %d bytes, want %d", got, 12<<10)
 	}
 }

@@ -24,6 +24,8 @@ func (p PFN) PhysAddr() uint64 { return uint64(p) * FrameSize }
 type Allocator struct {
 	next  PFN
 	limit PFN
+	// asid is the last address-space identifier handed out (see NewASID).
+	asid uint16
 }
 
 // NewAllocator creates an allocator spanning sizeBytes of physical memory.
@@ -71,3 +73,18 @@ func (a *Allocator) Allocated() uint64 { return uint64(a.next) - 1 }
 
 // Capacity returns the total number of frames the allocator manages.
 func (a *Allocator) Capacity() uint64 { return uint64(a.limit) }
+
+// NewASID returns the next address-space identifier of this physical
+// memory: 1, 2, 3, ... in the order the address spaces are built. The
+// allocator stands for one machine's memory, so two machines that build
+// the same address spaces in the same order number them alike, and a
+// snapshot's TLB entries, tagged with those numbers, apply on either. It
+// panics once the 16-bit identifier space is used up rather than reuse
+// an identifier.
+func (a *Allocator) NewASID() uint16 {
+	if a.asid == ^uint16(0) {
+		panic("phys: out of address-space identifiers")
+	}
+	a.asid++
+	return a.asid
+}

@@ -94,3 +94,27 @@ func TestCapacityAndAllocated(t *testing.T) {
 		t.Fatalf("allocated %d", a.Allocated())
 	}
 }
+
+// Address-space identifiers count from 1 per allocator, so machines that
+// build the same address spaces in the same order number them alike, and
+// the 16-bit space is never wrapped into a reused identifier.
+func TestNewASIDPerAllocator(t *testing.T) {
+	a, b := NewAllocator(16*FrameSize), NewAllocator(16*FrameSize)
+	for want := uint16(1); want <= 3; want++ {
+		if got := a.NewASID(); got != want {
+			t.Fatalf("ASID %d, want %d", got, want)
+		}
+	}
+	if got := b.NewASID(); got != 1 {
+		t.Fatalf("a second allocator's first ASID is %d, want 1", got)
+	}
+	for i := 4; i <= 1<<16-1; i++ {
+		a.NewASID()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic once every ASID is used")
+		}
+	}()
+	a.NewASID()
+}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/paging"
+	"repro/internal/phys"
 	"repro/internal/rng"
 )
 
@@ -179,7 +180,7 @@ type Config struct {
 	HideLastRWPage bool
 	// EntropyBits overrides the 28-bit default. Full-entropy scans cost
 	// hundreds of millions of probes; scaled experiments reduce the
-	// entropy and extrapolate (documented in EXPERIMENTS.md).
+	// entropy and extrapolate (see experiments.Scale).
 	EntropyBits int
 }
 
@@ -300,7 +301,8 @@ func (p *Process) RenderMaps() string {
 // page tables (the custom-kernel-module check of §IV-F), distinguishing
 // mapped perms from "unmapped or ---".
 func (p *Process) GroundTruthPerm(va paging.VirtAddr) (Perm, bool) {
-	w := p.as.Translate(paging.PageBase(va, paging.Page4K), nil)
+	var visited [4]phys.PFN // one frame per paging level: the walk allocates nothing
+	w := p.as.Translate(paging.PageBase(va, paging.Page4K), visited[:0])
 	if !w.Mapped || !w.Flags.Has(paging.User) {
 		return PermNone, false
 	}

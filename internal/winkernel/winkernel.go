@@ -49,7 +49,7 @@ type Config struct {
 	// MaxSlot, when positive, restricts randomization to the first MaxSlot
 	// slots. The full region's 4 KiB-granular KVAS scan is hostile to unit
 	// tests; scaled experiments restrict the slide and extrapolate
-	// (documented in EXPERIMENTS.md).
+	// (see experiments.Scale).
 	MaxSlot int
 }
 
