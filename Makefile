@@ -14,25 +14,27 @@
 #   make bench-smoke - one short seeded bench/run.sh pass per workload
 #                    declared in BENCHMARK.json, determinism oracle on;
 #                    fails on any failed or inconsistent job
-#   make ci        - what CI runs: vet + tier-1 + test-race + bench-test +
-#                    bench-smoke
-#   make bench     - the Go micro-benchmarks (machine ops, the per-VA and
-#                    batched probes, scan sweeps, the defense matrix
-#                    through the scheduler, one cold session build per
-#                    spatial spec; root, internal/core and
-#                    internal/service packages); prints
-#                    the results and records nothing. End-to-end numbers
-#                    come from bench/run.sh (see bench/README.md).
+#   make bench-check - every Go benchmark body once (-benchtime 1x), so a
+#                    benchmark or its b.Fatal guard cannot rot unseen
+#   make ci        - what CI runs: vet + tier-1 + test-race + bench-check +
+#                    bench-test + bench-smoke
+#   make bench     - the Go micro-benchmarks under internal/ (machine ops,
+#                    the per-VA and batched probes, scan sweeps, the
+#                    defense matrix through the scheduler, one cold
+#                    session build per spatial spec); prints the results
+#                    and records nothing. End-to-end numbers come from
+#                    bench/run.sh (see bench/README.md); paper claims and
+#                    ablations are checked by internal/experiments.
 
 GO ?= go
 
 BENCH_WORKLOADS = spatial-hot spatial-cold mixed-zipf temporal-stateful
 
-.PHONY: all vet test test-race bench-test bench-smoke ci bench
+.PHONY: all vet test test-race bench-check bench-test bench-smoke ci bench
 
 all: vet test
 
-ci: vet test test-race bench-test bench-smoke
+ci: vet test test-race bench-check bench-test bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -47,6 +49,9 @@ test:
 test-race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./...
 
+bench-check:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
@@ -56,4 +61,4 @@ bench-smoke:
 	done
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix|BenchmarkSessionBuild|BenchmarkExecMasked|BenchmarkProbeMapped|BenchmarkProbeBatch' -benchmem . ./internal/core ./internal/service
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/...

@@ -1,5 +1,7 @@
-// Command experiments regenerates every table and figure of the paper on
-// the simulator and prints paper-vs-measured reports with shape verdicts.
+// Command experiments regenerates every table and figure of the paper, and
+// the ablations of the attack's design choices, on the simulator and prints
+// paper-vs-measured reports with shape verdicts. -only selects the
+// experiments whose report ID contains its value.
 //
 // Usage:
 //
@@ -59,37 +61,21 @@ func parseFlags(args []string, errw io.Writer) (config, error) {
 	}
 	sc.Workers = *workers
 	// One worker pool for the whole run: every experiment's scans share the
-	// same machine replicas (results are bit-identical to fresh workers).
+	// same machine replicas.
 	sc.Pool = core.NewScanPool()
 	return config{scale: sc, only: *only}, nil
 }
 
-// runners lists every experiment in report order.
-func runners() []struct {
-	id  string
-	run func(experiments.Scale) experiments.Report
-} {
-	return []struct {
-		id  string
-		run func(experiments.Scale) experiments.Report
-	}{
-		{"Fig. 1", experiments.Fig1FaultSuppression},
-		{"Fig. 2", experiments.Fig2PageTypes},
-		{"§III-B levels", experiments.Fig2bPageTableLevels},
-		{"§III-B TLB", experiments.Fig2cTLBState},
-		{"Fig. 3", experiments.Fig3Permissions},
-		{"§III-B P6", experiments.Fig3bLoadVsStore},
-		{"Fig. 4", experiments.Fig4KernelBaseScan},
-		{"Table I", experiments.Table1},
-		{"Fig. 5", experiments.Fig5ModuleIdent},
-		{"§IV-D", experiments.Sec4dKPTI},
-		{"Fig. 6", experiments.Fig6BehaviorSpy},
-		{"Fig. 7", experiments.Fig7SGXFineGrained},
-		{"§IV-G", experiments.Sec4gWindows},
-		{"§IV-H", experiments.Sec4hCloud},
-		{"§V", experiments.Sec5Defenses},
-		{"baselines", experiments.BaselineComparison},
+// selected returns the entries of experiments.Experiments whose ID contains
+// only (every entry when only is empty), in report order.
+func selected(only string) []experiments.Experiment {
+	var out []experiments.Experiment
+	for _, e := range experiments.Experiments {
+		if strings.Contains(e.ID, only) {
+			out = append(out, e)
+		}
 	}
+	return out
 }
 
 // run executes the selected experiments and returns the exit code.
@@ -103,25 +89,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	exps := selected(cfg.only)
+	if len(exps) == 0 {
+		fmt.Fprintf(stderr, "no experiment matches -only=%q\n", cfg.only)
+		return 2
+	}
 	failures := 0
-	ran := 0
-	for _, r := range runners() {
-		if cfg.only != "" && !strings.Contains(r.id, cfg.only) {
-			continue
-		}
-		rep := r.run(cfg.scale)
+	for _, e := range exps {
+		rep := e.Run(cfg.scale)
 		fmt.Fprintln(stdout, rep.String())
 		fmt.Fprintln(stdout)
-		ran++
 		if !rep.OK {
 			failures++
 		}
 	}
-	if ran == 0 {
-		fmt.Fprintf(stderr, "no experiment matches -only=%q\n", cfg.only)
-		return 2
-	}
-	fmt.Fprintf(stdout, "%d/%d experiments reproduce the paper's shape\n", ran-failures, ran)
+	fmt.Fprintf(stdout, "%d/%d experiments reproduce the paper's shape\n", len(exps)-failures, len(exps))
 	if failures > 0 {
 		return 1
 	}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // Flag plumbing: -workers and -seed must land in the Scale, and every run
@@ -54,5 +56,37 @@ func TestRunNoMatch(t *testing.T) {
 	}
 	if !strings.Contains(errw.String(), "no experiment matches") {
 		t.Fatalf("stderr: %s", errw.String())
+	}
+}
+
+// Every report ID, passed as -only, must select exactly its own entry, so
+// the ID a report header prints is always a working filter.
+func TestOnlySelectsEveryTableID(t *testing.T) {
+	for _, e := range experiments.Experiments {
+		got := selected(e.ID)
+		if len(got) != 1 || got[0].ID != e.ID {
+			var ids []string
+			for _, g := range got {
+				ids = append(ids, g.ID)
+			}
+			t.Errorf("-only %q selects %q", e.ID, ids)
+		}
+	}
+	if n := len(selected("")); n != len(experiments.Experiments) {
+		t.Fatalf("empty -only selects %d of %d experiments", n, len(experiments.Experiments))
+	}
+	if got := selected("§IV-F"); len(got) != 1 || got[0].ID != "Fig. 7 / §IV-F" {
+		t.Fatalf("-only §IV-F selects %d entries, want only Fig. 7 / §IV-F", len(got))
+	}
+}
+
+// The ablations report runs end to end through the CLI and holds.
+func TestRunAblations(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := run([]string{"-only", "ablations"}, &out, &errw); code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errw.String())
+	}
+	if !strings.Contains(out.String(), "1/1 experiments reproduce") {
+		t.Fatalf("unexpected summary:\n%s", out.String())
 	}
 }

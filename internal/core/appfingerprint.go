@@ -162,7 +162,7 @@ func (f *AppFingerprinter) Classify(d *behavior.Driver) (AppProfile, error) {
 // engine — ticks fan out across Options.Workers replicas, each replaying
 // its chunk's driver events privately — and classifies the foreground app
 // by majority vote over the ticks. Output is bit-identical at any worker
-// setting, pooled or fresh, and bit-identical to the sequential yardstick
+// setting and pool history, and to the sequential yardstick
 // loop of the parity suite.
 // Windows compose like the behavior spy's: consecutive calls continue the
 // victim's timeline.

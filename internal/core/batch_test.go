@@ -158,7 +158,7 @@ func TestPooledScanAllocsFlatAcrossWorkers(t *testing.T) {
 }
 
 // The fused user scan must recover exactly the regions the two-pass scan
-// recovers at a fixed seed — at every worker setting, pooled or fresh —
+// recovers at a fixed seed — at every worker setting —
 // and must cost the simulated attacker less than the two passes do (the
 // store warm-ups ride on the load probes' translations; the sweep setup is
 // paid once).
@@ -169,20 +169,14 @@ func TestUserScanFusedMatchesTwoPass(t *testing.T) {
 			t.Fatalf("seed %d: two-pass scan found no regions", seed)
 		}
 		for _, workers := range []int{0, 1, 4, 8} {
-			for _, pooled := range []bool{false, true} {
-				opt := Options{Workers: workers}
-				if pooled {
-					opt.Pool = NewScanPool()
-				}
-				got := userScanResult(t, seed, opt)
-				if !reflect.DeepEqual(want.Regions, got.Regions) {
-					t.Fatalf("seed %d workers=%d pooled=%v: fused regions differ from two-pass\nwant: %+v\ngot:  %+v",
-						seed, workers, pooled, want.Regions, got.Regions)
-				}
-				if got.TotalCycles >= want.TotalCycles {
-					t.Errorf("seed %d workers=%d pooled=%v: fused scan cost %d sim cycles, two-pass %d — fusion should be cheaper",
-						seed, workers, pooled, got.TotalCycles, want.TotalCycles)
-				}
+			got := userScanResult(t, seed, Options{Workers: workers})
+			if !reflect.DeepEqual(want.Regions, got.Regions) {
+				t.Fatalf("seed %d workers=%d: fused regions differ from two-pass\nwant: %+v\ngot:  %+v",
+					seed, workers, want.Regions, got.Regions)
+			}
+			if got.TotalCycles >= want.TotalCycles {
+				t.Errorf("seed %d workers=%d: fused scan cost %d sim cycles, two-pass %d — fusion should be cheaper",
+					seed, workers, got.TotalCycles, want.TotalCycles)
 			}
 		}
 	}
@@ -194,20 +188,17 @@ func userScanTwoPassResult(t *testing.T, seed uint64, opt Options) UserScanResul
 	return userScanWith(t, seed, opt, UserScanTwoPass)
 }
 
-// The two-pass reference implementation keeps its own worker/pool parity
-// (it is the yardstick the fused scan is checked against).
+// The two-pass reference implementation keeps its own worker parity (it is
+// the yardstick the fused scan is checked against); the settings share one
+// pool, so the wider ones run on rebound replicas.
 func TestUserScanTwoPassWorkerParity(t *testing.T) {
 	base := userScanTwoPassResult(t, 900, Options{Workers: 0})
+	pool := NewScanPool()
 	for _, workers := range []int{1, 4, 8} {
-		got := userScanTwoPassResult(t, 900, Options{Workers: workers})
+		got := userScanTwoPassResult(t, 900, Options{Workers: workers, Pool: pool})
 		if !reflect.DeepEqual(base, got) {
 			t.Fatalf("workers=%d: two-pass UserScanResult differs from workers=0", workers)
 		}
-	}
-	pooled := userScanTwoPassResult(t, 900, Options{Workers: 4, Pool: NewScanPool()})
-	fresh := userScanTwoPassResult(t, 900, Options{Workers: 4})
-	if !reflect.DeepEqual(pooled, fresh) {
-		t.Fatal("pooled two-pass UserScanResult differs from fresh")
 	}
 }
 

@@ -186,7 +186,7 @@ func (s *BehaviorSpy) Run(d *behavior.Driver, duration float64) ([]SpyTrace, err
 // engine: ticks become probe indices, chunks of ticks fan out across
 // Options.Workers machine replicas, and each worker replays the driver
 // events of its chunk's window against its replica. Output is bit-identical
-// at any worker setting, pooled or fresh, and bit-identical to the plain
+// at any worker setting, whichever pooled replicas serve it, and to the plain
 // sequential tick loop the parity suite keeps as its yardstick.
 //
 // Windows compose: consecutive RunWindow calls on one prober continue the

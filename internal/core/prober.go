@@ -66,11 +66,12 @@ type Options struct {
 	Workers int
 	// ScanChunkPages overrides the engine shard granularity (0 = default).
 	ScanChunkPages int
-	// Pool, when set, is the session-persistent pool the engine draws its
-	// worker prober replicas (calibrated probers on machine replicas, with
-	// their batch scratch) from instead of cloning fresh ones per scan.
-	// Construct one ScanPool per session and share it across probers (and
-	// victims); pooled output stays bit-identical to fresh-worker runs.
+	// Pool is the session-persistent pool the engine draws its worker
+	// prober replicas (calibrated probers on machine replicas, with their
+	// batch scratch) from when Workers >= 1. Construct one ScanPool per
+	// session and share it across probers (and victims); nil gives the
+	// prober its own pool on its first sharded scan. Output does not
+	// depend on which pool, or which of its replicas, serves a scan.
 	Pool *ScanPool
 }
 

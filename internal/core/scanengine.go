@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/machine"
@@ -14,20 +15,24 @@ import (
 // sharded scan engine. Construct one per session (CLI run, experiment
 // sweep, evaluation harness) and share it through Options.Pool: the first
 // scan clones its workers, every later scan — even against a different
-// victim machine — rebinds and reuses them, amortizing the ~170-allocation
-// machine clone cost across the whole run. The pool holds whole *Prober
-// replicas, not bare machines: each replica carries its batch scratch
-// buffers (masked-op slices, measurement windows) across scans, so a
-// pooled re-scan's allocations stop growing with the worker count. Pooled
-// scans stay bit-identical to fresh-worker and sequential runs because
-// every worker is noise-reseeded and translation-reset per chunk
-// regardless of its history.
+// victim machine — rebinds and reuses them, amortizing the machine clone
+// cost (its TLB, paging-structure and PTE-line caches) across the whole
+// run. A prober with Workers >= 1 and no Pool creates its own pool on its
+// first sharded scan. The pool holds whole *Prober replicas, not bare
+// machines: each replica carries its batch scratch buffers (masked-op
+// slices, measurement windows) across scans, so a pooled re-scan's
+// allocations stop growing with the worker count. Scans stay bit-identical
+// to sequential runs whichever replicas serve them, because every worker
+// is noise-reseeded and translation-reset per chunk regardless of its
+// history.
 //
 // Concurrent scans may share one pool (each replica is handed to exactly
 // one scan at a time), but a single Prober must not run two scans
 // concurrently.
 type ScanPool struct {
-	pool scan.Pool[*Prober]
+	mu   sync.Mutex
+	free []*Prober
+	made int
 }
 
 // NewScanPool creates an empty pool.
@@ -35,19 +40,31 @@ func NewScanPool() *ScanPool { return &ScanPool{} }
 
 // Replicas returns how many worker replicas the pool has ever cloned
 // (steady-state scanning must not grow it).
-func (sp *ScanPool) Replicas() int { return sp.pool.Made() }
+func (sp *ScanPool) Replicas() int {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return sp.made
+}
 
 // get returns a prober replica bound to parent's current machine state and
-// calibration.
+// calibration: a free one rebound to parent, or a new clone seeded with
+// the pool-wide creation ordinal. The clone runs outside the pool lock, so
+// concurrent scans can clone machines in parallel.
 func (sp *ScanPool) get(parent *Prober, seed uint64) *Prober {
-	rp, reused := sp.pool.Get(func(ord int) *Prober {
-		return parent.CloneTo(parent.M.Clone(seed + uint64(ord)))
-	})
-	if reused {
+	sp.mu.Lock()
+	if n := len(sp.free); n > 0 {
+		rp := sp.free[n-1]
+		sp.free[n-1] = nil
+		sp.free = sp.free[:n-1]
+		sp.mu.Unlock()
 		rp.M.Rebind(parent.M)
 		rp.adopt(parent)
+		return rp
 	}
-	return rp
+	ord := sp.made
+	sp.made++
+	sp.mu.Unlock()
+	return parent.CloneTo(parent.M.Clone(seed + uint64(ord)))
 }
 
 // put parks a replica in the pool after a scan, unbound from the victim so
@@ -55,7 +72,9 @@ func (sp *ScanPool) get(parent *Prober, seed uint64) *Prober {
 // (the next get's Rebind restores the references).
 func (sp *ScanPool) put(rp *Prober) {
 	rp.M.Unbind()
-	sp.pool.Put(rp)
+	sp.mu.Lock()
+	sp.free = append(sp.free, rp)
+	sp.mu.Unlock()
 }
 
 // adopt re-targets a pooled prober replica at parent's calibration and
@@ -88,28 +107,17 @@ func (p *Prober) CloneTo(m *machine.Machine) *Prober {
 	}
 }
 
-// acquireReplica returns a prober on a worker machine replica: drawn from
-// the session pool when Options.Pool is set, freshly cloned otherwise.
-func (p *Prober) acquireReplica(seed uint64, id int) *Prober {
-	if pool := p.Opt.Pool; pool != nil {
-		return pool.get(p, seed)
-	}
-	return p.CloneTo(p.M.Clone(seed + uint64(id)))
-}
-
 // releaseReplicas folds the workers' state back into the parent after a
 // scan — faults and performance counters, so RDTSC/PMC-based accounting in
-// the attack drivers is unchanged — and returns pooled replicas to the
-// session pool for the next scan.
+// the attack drivers is unchanged — and returns the replicas to the pool
+// for the next scan.
 func (p *Prober) releaseReplicas(replicas []*Prober) {
 	for _, rp := range replicas {
 		p.faults += rp.faults
 		p.M.Counters.Merge(rp.M.Counters)
-		if pool := p.Opt.Pool; pool != nil {
-			rp.faults = 0
-			rp.M.Counters.Reset()
-			pool.put(rp)
-		}
+		rp.faults = 0
+		rp.M.Counters.Reset()
+		p.Opt.Pool.put(rp)
 	}
 }
 
@@ -172,7 +180,7 @@ func storeClass(fast bool) PermClass {
 // Determinism: the chunk's load and store measurements draw from two
 // separate noise streams derived from the chunk seed, so a page's store
 // noise does not depend on how many pages before it were mapped — the
-// sweep stays bit-identical at any worker count, pooled or fresh.
+// sweep stays bit-identical at any worker count.
 type fusedWorker struct {
 	workerBase
 	loadNoise  rng.Source
@@ -297,8 +305,8 @@ func (w *termWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int
 // runSweep is the one scan path every sharded sweep takes — large VA
 // ranges (probe indices are pages/slots) and temporal attacks alike (probe
 // indices are time ticks; see spyWorker/fpWorker). It shards the index
-// range across Options.Workers machine replicas (pooled or fresh), merges
-// deterministically, and folds the workers' simulated probing cycles,
+// range across Options.Workers machine replicas drawn from Options.Pool,
+// merges deterministically, and folds the workers' simulated probing cycles,
 // performance counters and fault counts back into the prober's machine, so
 // RDTSC-based runtime accounting in the attack drivers is unchanged:
 // parallelism buys host wall-clock, not simulated attacker time. chunk
@@ -309,8 +317,9 @@ func (w *termWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int
 // that *is* the prober's own machine (no clone, no goroutine fan-out
 // beyond the engine's one). Because a worker's chunk output is a pure
 // function of (victim state, chunk seed) — never of which machine ran it —
-// the inline, replicated, and pooled paths produce bit-identical results
-// at every worker count for a fixed machine seed.
+// the inline and replicated paths produce bit-identical results at every
+// worker count for a fixed machine seed, whichever pooled replicas serve
+// the chunks.
 func runSweep[V comparable](p *Prober, start paging.VirtAddr, n int, stride uint64,
 	chunk int, heal int, wrap func(*Prober) scan.Worker[V]) scan.Result[V] {
 	p.scanEpoch++
@@ -319,6 +328,8 @@ func runSweep[V comparable](p *Prober, start paging.VirtAddr, n int, stride uint
 	nw := p.Opt.Workers
 	if inline {
 		nw = 1
+	} else if p.Opt.Pool == nil {
+		p.Opt.Pool = NewScanPool()
 	}
 	if chunk <= 0 {
 		chunk = p.Opt.ScanChunkPages
@@ -329,20 +340,16 @@ func runSweep[V comparable](p *Prober, start paging.VirtAddr, n int, stride uint
 		ChunkPages:  chunk,
 		Seed:        seed,
 		HealSamples: heal,
-	}, func(id int) scan.Worker[V] {
+	}, func(int) scan.Worker[V] {
 		if inline {
 			return wrap(p)
 		}
-		rp := p.acquireReplica(seed, id)
+		rp := p.Opt.Pool.get(p, seed)
 		replicas = append(replicas, rp)
 		return wrap(rp)
 	})
 	res := eng.Scan(start, n, stride)
 	p.releaseReplicas(replicas)
-	// Drop the replica pointers before truncating: in the fresh-worker path
-	// the clones are garbage after the merge, and a retained pointer in the
-	// buffer's backing array would pin a whole Machine replica.
-	clear(replicas)
 	p.replicaBuf = replicas[:0]
 	if !inline {
 		// Inline probing advanced the prober's clock directly; replica

@@ -149,27 +149,28 @@ func TestTermLevelWorkerParity(t *testing.T) {
 	}
 }
 
-// Scans drawing workers from a session pool must match fresh-worker scans
-// bit-exactly — including on reuse: the second scan runs on rebound
-// replicas and must still match a fresh prober's second scan.
+// Scans drawing workers from a session pool must match a fresh prober's
+// inline (workers 0) scans bit-exactly — including on reuse: the second
+// and third scans run on rebound replicas and must still match the inline
+// prober's second and third scans.
 func TestPooledMatchesFresh(t *testing.T) {
 	const seed = 113
 	const pages = 2048
 
-	freshP, _ := engineProber(t, seed, 4)
-	var freshRuns [][]bool
-	var freshCycles [][]float64
+	inlineP, _ := engineProber(t, seed, 0)
+	var wantRuns [][]bool
+	var wantCycles [][]float64
 	for i := 0; i < 3; i++ {
-		m, c := freshP.ScanMapped(linux.ModuleRegionBase, pages, paging.Page4K)
-		freshRuns, freshCycles = append(freshRuns, m), append(freshCycles, c)
+		m, c := inlineP.ScanMapped(linux.ModuleRegionBase, pages, paging.Page4K)
+		wantRuns, wantCycles = append(wantRuns, m), append(wantCycles, c)
 	}
 
 	pool := NewScanPool()
 	pooledP, _ := engineProberOpt(t, seed, Options{Workers: 4, Pool: pool})
 	for i := 0; i < 3; i++ {
 		m, c := pooledP.ScanMapped(linux.ModuleRegionBase, pages, paging.Page4K)
-		if !reflect.DeepEqual(m, freshRuns[i]) || !reflect.DeepEqual(c, freshCycles[i]) {
-			t.Fatalf("pooled scan %d differs from fresh-worker scan", i)
+		if !reflect.DeepEqual(m, wantRuns[i]) || !reflect.DeepEqual(c, wantCycles[i]) {
+			t.Fatalf("pooled scan %d differs from the inline scan", i)
 		}
 	}
 	if pool.Replicas() != 4 {
@@ -178,33 +179,31 @@ func TestPooledMatchesFresh(t *testing.T) {
 
 	// The sharded user scan and the AMD term sweep must be pool-invariant
 	// too (different sweep/verdict types through the same pool).
-	usPool := NewScanPool()
-	usFresh := userScanResult(t, 900, Options{Workers: 4})
-	usPooled := userScanResult(t, 900, Options{Workers: 4, Pool: usPool})
-	if !reflect.DeepEqual(usFresh, usPooled) {
-		t.Fatal("pooled UserScanResult differs from fresh")
+	usInline := userScanResult(t, 900, Options{Workers: 0})
+	usPooled := userScanResult(t, 900, Options{Workers: 4, Pool: pool})
+	if !reflect.DeepEqual(usInline, usPooled) {
+		t.Fatal("pooled UserScanResult differs from the inline scan")
 	}
-	amdPool := NewScanPool()
-	amdFresh := amdBaseResult(t, 300, Options{Workers: 4})
-	amdPooled := amdBaseResult(t, 300, Options{Workers: 4, Pool: amdPool})
-	if !reflect.DeepEqual(amdFresh, amdPooled) {
-		t.Fatal("pooled AMD KernelBaseResult differs from fresh")
+	amdInline := amdBaseResult(t, 300, Options{Workers: 0})
+	amdPooled := amdBaseResult(t, 300, Options{Workers: 4, Pool: pool})
+	if !reflect.DeepEqual(amdInline, amdPooled) {
+		t.Fatal("pooled AMD KernelBaseResult differs from the inline attack")
 	}
 }
 
 // One pool must serve scans against different victims in one session: the
 // replicas rebind to each new parent machine instead of re-cloning, and
-// results still match fresh-worker runs.
+// results still match inline runs.
 func TestPoolReboundAcrossVictims(t *testing.T) {
 	pool := NewScanPool()
 	for trial, seed := range []uint64{121, 122, 123} {
-		fresh, _ := engineProber(t, seed, 4)
-		wantM, wantC := fresh.ScanMapped(linux.ModuleRegionBase, 1024, paging.Page4K)
+		inline, _ := engineProber(t, seed, 0)
+		wantM, wantC := inline.ScanMapped(linux.ModuleRegionBase, 1024, paging.Page4K)
 
 		pooled, _ := engineProberOpt(t, seed, Options{Workers: 4, Pool: pool})
 		gotM, gotC := pooled.ScanMapped(linux.ModuleRegionBase, 1024, paging.Page4K)
 		if !reflect.DeepEqual(wantM, gotM) || !reflect.DeepEqual(wantC, gotC) {
-			t.Fatalf("trial %d: pooled scan against new victim differs from fresh", trial)
+			t.Fatalf("trial %d: pooled scan against new victim differs from inline", trial)
 		}
 	}
 	if pool.Replicas() != 4 {
@@ -220,10 +219,10 @@ func TestPoolConcurrentScans(t *testing.T) {
 	const iters = 3
 	seeds := []uint64{131, 137}
 
-	// Solo expectations, fresh workers.
+	// Solo expectations, inline.
 	expect := make([][][]bool, len(seeds))
 	for i, seed := range seeds {
-		p, _ := engineProber(t, seed, 2)
+		p, _ := engineProber(t, seed, 0)
 		for k := 0; k < iters; k++ {
 			m, _ := p.ScanMapped(linux.ModuleRegionBase, pages, paging.Page4K)
 			expect[i] = append(expect[i], m)
@@ -254,7 +253,8 @@ func TestPoolConcurrentScans(t *testing.T) {
 
 // The pool's point: a pooled re-scan must not pay the ~170-allocation
 // Machine.Clone cost per worker again. Steady-state allocations per scan
-// must sit far below even one clone, and far below the fresh-worker path.
+// must sit far below even one clone, and far below a first scan, which
+// clones its workers into an empty pool.
 func TestPooledRescanDoesNotReclone(t *testing.T) {
 	const pages = 1024
 	pool := NewScanPool()
@@ -270,16 +270,17 @@ func TestPooledRescanDoesNotReclone(t *testing.T) {
 	}
 
 	pf, _ := engineProber(t, 151, 4)
-	fresh := testing.AllocsPerRun(5, func() {
+	first := testing.AllocsPerRun(5, func() {
+		pf.Opt.Pool = NewScanPool()
 		pf.ScanMapped(linux.ModuleRegionBase, pages, paging.Page4K)
 	})
 
-	t.Logf("allocs/scan: pooled %.0f, fresh %.0f", pooled, fresh)
+	t.Logf("allocs/scan: pooled %.0f, first %.0f", pooled, first)
 	if pooled > 150 {
 		t.Errorf("pooled re-scan allocates %.0f/scan, want far below one ~170-alloc clone", pooled)
 	}
-	if pooled > fresh/3 {
-		t.Errorf("pooled re-scan allocates %.0f/scan vs fresh %.0f — pool not amortizing clones", pooled, fresh)
+	if pooled > first/3 {
+		t.Errorf("pooled re-scan allocates %.0f/scan vs first scan %.0f — pool not amortizing clones", pooled, first)
 	}
 }
 

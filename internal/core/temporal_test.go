@@ -41,7 +41,9 @@ func temporalVictim(t *testing.T, seed uint64, opt Options) (*Prober, *behavior.
 }
 
 // temporalVariants is the worker × pool matrix of the temporal parity
-// suite (the ISSUE 5 acceptance grid).
+// suite. pooled=false leaves Options.Pool nil, so each prober makes its own
+// pool on its first sharded scan; pooled=true shares one session pool
+// across the suite's variants, so later variants run on rebound replicas.
 func temporalVariants() []struct {
 	workers int
 	pooled  bool
@@ -57,7 +59,7 @@ func temporalVariants() []struct {
 
 // The engine-based behavior spy must be bit-identical to the sequential
 // yardstick loop — full traces, simulated clock and counters — at workers
-// 0/1/4/8 × pooled/fresh for a fixed seed.
+// 0/1/4/8 × own/shared pool for a fixed seed.
 func TestBehaviorSpyEngineParity(t *testing.T) {
 	const seed = 606
 	const duration = 40.0
@@ -70,12 +72,13 @@ func TestBehaviorSpyEngineParity(t *testing.T) {
 	}
 	wantTSC := pRef.M.RDTSC()
 
+	pool := NewScanPool()
 	for _, v := range temporalVariants() {
 		v := v
 		t.Run(fmt.Sprintf("workers=%d/pooled=%v", v.workers, v.pooled), func(t *testing.T) {
 			opt := Options{Workers: v.workers}
 			if v.pooled {
-				opt.Pool = NewScanPool()
+				opt.Pool = pool
 			}
 			p, drv, targets, _ := temporalVictim(t, seed, opt)
 			spy := &BehaviorSpy{P: p, Targets: targets, PagesPerModule: 10, TickSec: 1}
@@ -137,7 +140,7 @@ func TestBehaviorSpyWindowsCompose(t *testing.T) {
 
 // The engine-based app fingerprinter must match the sequential yardstick —
 // same classification and same simulated clock — at workers 0/1/4/8 ×
-// pooled/fresh, for every profile in the standard population.
+// own/shared pool, for every profile in the standard population.
 func TestAppFingerprintEngineParity(t *testing.T) {
 	const seed = 808
 	profiles := StandardAppProfiles()
@@ -186,6 +189,7 @@ func TestAppFingerprintEngineParity(t *testing.T) {
 		return ref{name: got.Name, tsc: p.M.RDTSC()}
 	}
 
+	pool := NewScanPool()
 	for _, truth := range profiles {
 		want := classify(truth, Options{}, true)
 		if want.name != truth.Name {
@@ -194,7 +198,7 @@ func TestAppFingerprintEngineParity(t *testing.T) {
 		for _, v := range temporalVariants() {
 			opt := Options{Workers: v.workers}
 			if v.pooled {
-				opt.Pool = NewScanPool()
+				opt.Pool = pool
 			}
 			got := classify(truth, opt, false)
 			if got != want {

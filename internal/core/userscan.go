@@ -38,7 +38,7 @@ type UserScanResult struct {
 // pages, so the range is walked once, chunk setup is paid once, and the
 // store warm-ups reuse translations the load probes just installed (see
 // fusedWorker). Adjacent same-class pages merge into regions. Output is
-// bit-identical at any Options.Workers setting, pooled or fresh, and the
+// bit-identical at any Options.Workers setting and pool history, and the
 // regions match the serialized two-sweep scan the parity suite keeps as
 // its yardstick.
 func UserScan(p *Prober, start, end paging.VirtAddr) UserScanResult {

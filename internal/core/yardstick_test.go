@@ -163,7 +163,7 @@ func (p *Prober) scanStoreClasses(start paging.VirtAddr, mapped []bool) []PermCl
 // BenchmarkUserScanTwoPass measures the serialized two-pass §IV-F user
 // scan (masked-load sweep + masked-store classification sweep), the
 // baseline the fused UserScan is judged against: compare host ms/op and
-// sim_ms with the root BenchmarkUserScanFused.
+// sim_ms with BenchmarkUserScanFused.
 func BenchmarkUserScanTwoPass(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

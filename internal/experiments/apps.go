@@ -87,7 +87,7 @@ func Fig6BehaviorSpy(sc Scale) Report {
 func Fig7SGXFineGrained(sc Scale) Report {
 	m := machine.New(uarch.IceLake1065G7(), sc.Seed)
 	if _, err := linux.Boot(m, linux.Config{Seed: sc.Seed + 10}); err != nil {
-		return Report{ID: "Fig. 7", Measured: err.Error()}
+		return Report{ID: "Fig. 7 / §IV-F", Measured: err.Error()}
 	}
 	proc, err := userspace.Build(m, userspace.Config{
 		Seed:           sc.Seed + 11,
@@ -95,16 +95,16 @@ func Fig7SGXFineGrained(sc Scale) Report {
 		EntropyBits:    sc.UserEntropyBits,
 	})
 	if err != nil {
-		return Report{ID: "Fig. 7", Measured: err.Error()}
+		return Report{ID: "Fig. 7 / §IV-F", Measured: err.Error()}
 	}
 	enc, err := sgx.Enter(m, sgx.RDTSC)
 	if err != nil {
-		return Report{ID: "Fig. 7", Measured: err.Error()}
+		return Report{ID: "Fig. 7 / §IV-F", Measured: err.Error()}
 	}
 	defer enc.Exit()
 	p, err := core.NewProber(m, sc.proberOptions())
 	if err != nil {
-		return Report{ID: "Fig. 7", Measured: err.Error()}
+		return Report{ID: "Fig. 7 / §IV-F", Measured: err.Error()}
 	}
 
 	// Base search: linear probe from the region base (§IV-F).

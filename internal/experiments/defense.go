@@ -141,25 +141,3 @@ func BaselineComparison(sc Scale) Report {
 		Text:       tab.Render(),
 	}
 }
-
-// All runs every experiment at the given scale, in paper order.
-func All(sc Scale) []Report {
-	return []Report{
-		Fig1FaultSuppression(sc),
-		Fig2PageTypes(sc),
-		Fig2bPageTableLevels(sc),
-		Fig2cTLBState(sc),
-		Fig3Permissions(sc),
-		Fig3bLoadVsStore(sc),
-		Fig4KernelBaseScan(sc),
-		Table1(sc),
-		Fig5ModuleIdent(sc),
-		Sec4dKPTI(sc),
-		Fig6BehaviorSpy(sc),
-		Fig7SGXFineGrained(sc),
-		Sec4gWindows(sc),
-		Sec4hCloud(sc),
-		Sec5Defenses(sc),
-		BaselineComparison(sc),
-	}
-}

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 // Each experiment must reproduce its paper artifact's shape. These tests
-// use a reduced scale; the bench harness and cmd/experiments run bigger.
+// use a reduced scale; cmd/experiments runs DefaultScale or PaperScale.
 func testScale() Scale {
 	sc := DefaultScale()
 	sc.Samples = 400

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation on the simulator. Each experiment returns a Report holding the
-// rendered output, the paper's claim, the measured value and a shape check
-// — testdata/paper.golden records the test-scale reports, each one's paper
-// claim beside the measured value.
+// evaluation on the simulator, plus ablations of the attack's design
+// choices, from one list (Experiments). Each experiment returns a Report
+// holding the rendered output, the paper's claim, the measured value and a
+// shape check — testdata/paper.golden records the test-scale reports, each
+// one's paper claim beside the measured value.
 //
 // Experiments whose paper-scale parameters are hostile to CI accept a
 // Scale; DefaultScale keeps everything under a few seconds, PaperScale
@@ -49,6 +50,44 @@ func (r Report) String() string {
 	return b.String()
 }
 
+// Experiment is one entry of the paper report: the ID its Report carries
+// and the function that runs it.
+type Experiment struct {
+	ID  string
+	Run func(Scale) Report
+}
+
+// Experiments lists every experiment in report order. All runs it and
+// cmd/experiments filters it, so each ID is typed once.
+var Experiments = []Experiment{
+	{"Fig. 1", Fig1FaultSuppression},
+	{"Fig. 2", Fig2PageTypes},
+	{"§III-B levels", Fig2bPageTableLevels},
+	{"§III-B TLB", Fig2cTLBState},
+	{"Fig. 3", Fig3Permissions},
+	{"§III-B P6", Fig3bLoadVsStore},
+	{"Fig. 4", Fig4KernelBaseScan},
+	{"Table I", Table1},
+	{"Fig. 5", Fig5ModuleIdent},
+	{"§IV-D", Sec4dKPTI},
+	{"Fig. 6", Fig6BehaviorSpy},
+	{"Fig. 7 / §IV-F", Fig7SGXFineGrained},
+	{"§IV-G", Sec4gWindows},
+	{"§IV-H", Sec4hCloud},
+	{"§V", Sec5Defenses},
+	{"baselines", BaselineComparison},
+	{"ablations", Ablations},
+}
+
+// All runs every experiment at the given scale, in report order.
+func All(sc Scale) []Report {
+	reports := make([]Report, len(Experiments))
+	for i, e := range Experiments {
+		reports[i] = e.Run(sc)
+	}
+	return reports
+}
+
 // Scale sets experiment sizes.
 type Scale struct {
 	// Samples is the per-point sample count for the micro experiments.
@@ -73,8 +112,8 @@ type Scale struct {
 	// fixed seed at any worker count; only host wall-clock changes.
 	Workers int
 	// Pool is the session-persistent worker pool shared by every scan in
-	// the run (set once by the caller; nil makes each scan clone fresh
-	// workers). Pooled and fresh runs produce bit-identical results.
+	// the run (set once by the caller; nil gives each prober its own pool
+	// on its first sharded scan). Results do not depend on the pool.
 	Pool *core.ScanPool
 }
 

@@ -63,16 +63,19 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 	}
 	sc := testScale()
 	reports := All(sc)
-	if len(reports) != 16 {
-		t.Fatalf("All ran %d experiments, want 16", len(reports))
+	if len(reports) != 17 {
+		t.Fatalf("All ran %d experiments, want 17", len(reports))
 	}
 	seen := map[string]bool{}
 	var paper strings.Builder
-	for _, r := range reports {
+	for i, r := range reports {
 		paper.WriteString(r.String())
 		paper.WriteString("\n")
 		if r.ID == "" {
 			t.Fatal("experiment without ID")
+		}
+		if r.ID != Experiments[i].ID {
+			t.Errorf("experiment %q reports ID %q", Experiments[i].ID, r.ID)
 		}
 		if seen[r.ID] {
 			t.Fatalf("duplicate experiment ID %q", r.ID)

@@ -83,19 +83,20 @@
 // # Worker pool
 //
 // Creating a worker is the expensive part of a scan (Machine.Clone builds
-// the replica's TLB, paging-structure and PTE-line caches). A Pool is a
-// persistent free list of replicas shared by every scan in a session:
-// Worker factories draw replicas from the pool and return them after the
+// the replica's TLB, paging-structure and PTE-line caches). The engine
+// leaves replica reuse to its Factory: core.ScanPool is a persistent free
+// list of calibrated prober replicas shared by every scan in a session.
+// The core's factories draw replicas from it and return them after the
 // merge, and a reused replica is re-synced to its current parent with
 // Machine.Rebind (structure reuse, zero allocations) instead of
-// re-cloned. The core pools whole calibrated probers, so batch scratch
-// buffers survive across scans too. Concurrent scans may share one pool;
-// each replica is handed to exactly one scan at a time.
+// re-cloned, so batch scratch buffers survive across scans too.
+// Concurrent scans may share one pool; each replica is handed to exactly
+// one scan at a time.
 //
 // # Determinism
 //
 // Output is bit-identical for a fixed seed regardless of worker count,
-// scheduling, or replica history (pooled vs fresh). Two rules make that
+// scheduling, or replica history (new or reused). Two rules make that
 // hold:
 //
 //  1. Per-chunk state reset. Worker.Start is called before each chunk with

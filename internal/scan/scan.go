@@ -45,7 +45,7 @@ type Healer[V comparable] interface {
 
 // Factory builds the worker for one shard. It is called sequentially from
 // the scanning goroutine before any worker runs, so implementations may
-// clone machines (or draw replicas from a Pool) without locking.
+// clone machines (or draw replicas from a pool) without locking.
 type Factory[V comparable] func(id int) Worker[V]
 
 // Config tunes an Engine.

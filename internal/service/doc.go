@@ -20,7 +20,8 @@
 //   - Worker replicas: one core.ScanPool is shared by every executor, so
 //     concurrent scans draw calibrated prober replicas from a single free
 //     list and machine.Rebind re-syncs them per scan (pooled output equals
-//     fresh-replica output; core's TestPooledMatchesFresh enforces it).
+//     the inline workers-0 output; core's TestPooledMatchesFresh enforces
+//     it).
 //   - Sessions: a booted victim + calibrated prober, rewound to a saved
 //     machine.Snapshot before every job (core.Prober.Restore). For the
 //     stateless kinds the snapshot is the post-calibration state and never
