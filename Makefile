@@ -16,8 +16,10 @@
 #                    fails on any failed or inconsistent job
 #   make bench-check - every Go benchmark body once (-benchtime 1x), so a
 #                    benchmark or its b.Fatal guard cannot rot unseen
+#   make examples  - run every examples/* program; fails on a non-zero exit
+#                    (appspy exits 1 unless it classifies every profile)
 #   make ci        - what CI runs: vet + tier-1 + test-race + bench-check +
-#                    bench-test + bench-smoke
+#                    examples + bench-test + bench-smoke
 #   make bench     - the Go micro-benchmarks under internal/ (machine ops,
 #                    the per-VA and batched probes, scan sweeps, the
 #                    defense matrix through the scheduler, one cold
@@ -30,11 +32,11 @@ GO ?= go
 
 BENCH_WORKLOADS = spatial-hot spatial-cold mixed-zipf temporal-stateful
 
-.PHONY: all vet test test-race bench-check bench-test bench-smoke ci bench
+.PHONY: all vet test test-race bench-check examples bench-test bench-smoke ci bench
 
 all: vet test
 
-ci: vet test test-race bench-check bench-test bench-smoke
+ci: vet test test-race bench-check examples bench-test bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -51,6 +53,11 @@ test-race:
 
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+examples:
+	set -e; for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d; \
+	done
 
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"runtime"
 	"strings"
 
@@ -52,20 +53,9 @@ func main() {
 
 		// Locate the watched modules with the module attack (every module
 		// the profiles reference has a unique size on this victim).
-		located := core.Modules(prober, core.SizeTable(kernel.ProcModules()))
-		watch := make(map[string]linux.LoadedModule)
-		for _, prof := range profiles {
-			for _, mn := range prof.Modules {
-				name := mn
-				if i := strings.IndexByte(mn, ':'); i >= 0 {
-					name = mn[i+1:]
-				}
-				targets, err := core.LocateTargets(located, name)
-				if err != nil {
-					log.Fatalf("locating %s: %v", name, err)
-				}
-				watch[name] = targets[0]
-			}
+		watch, err := core.LocateWatch(core.Modules(prober, core.SizeTable(kernel.ProcModules())), profiles)
+		if err != nil {
+			log.Fatal(err)
 		}
 
 		// The victim runs the true app for a minute; the spy classifies.
@@ -74,7 +64,7 @@ func main() {
 			log.Fatal(err)
 		}
 		spy := &core.AppFingerprinter{P: prober, Watch: watch, Profiles: profiles, Ticks: 8}
-		got, err := spy.Classify(drv)
+		got, err := spy.ClassifyFrom(drv, 0)
 		verdict := "WRONG"
 		if err == nil && got.Name == truth.Name {
 			verdict = "correct"
@@ -87,4 +77,7 @@ func main() {
 		fmt.Printf("victim runs %-14s → spy says %-14s [%s]\n", truth.Name, gotName, verdict)
 	}
 	fmt.Printf("\n%d/%d applications fingerprinted correctly\n", correct, len(profiles))
+	if correct != len(profiles) {
+		os.Exit(1)
+	}
 }

@@ -173,7 +173,7 @@ func FixedTimeline(act Activity, on ...Interval) *Timeline {
 // Figure 6 samples at 1 Hz, so one victim burst per spy tick).
 const DefaultResolution = 1.0
 
-// Driver is a deterministic, seekable event source replaying one or more
+// Driver is a deterministic event source replaying one or more
 // timelines against a booted kernel. Victim events live on a fixed time
 // grid (multiples of the resolution, DefaultResolution unless
 // SetResolution changed it): event k fires at time k*resolution for
@@ -185,24 +185,20 @@ const DefaultResolution = 1.0
 // be replayed for any time window, on any machine sharing the victim's
 // address space, any number of times, in any order — the property the scan
 // engine's chunked workers rely on to reproduce driver-induced TLB fills
-// per time-window chunk. The driver's own cursor (AdvanceTo / Rewind /
-// Seek) only tracks position for callers that stream events onto the bound
-// machine; ReplayWindow never reads or moves it.
+// per time-window chunk.
 type Driver struct {
-	k         *linux.Kernel
 	timelines []*Timeline
 	// touch caches each timeline's touched page VAs (module base through
 	// PagesTouched, clipped to the module), resolved once at construction so
 	// replay needs no per-event module lookups and cannot fail.
 	touch [][]paging.VirtAddr
 	res   float64
-	cur   float64
 }
 
 // NewDriver creates a driver for the kernel with the default event
 // resolution. Every timeline's module must be loaded.
 func NewDriver(k *linux.Kernel, timelines ...*Timeline) (*Driver, error) {
-	d := &Driver{k: k, timelines: timelines, res: DefaultResolution}
+	d := &Driver{timelines: timelines, res: DefaultResolution}
 	for _, tl := range timelines {
 		lm, ok := k.Module(tl.Activity.Module)
 		if !ok {
@@ -225,29 +221,6 @@ func (d *Driver) SetResolution(res float64) {
 	}
 }
 
-// Now returns the driver's cursor: the time up to which AdvanceTo has
-// already fired events on the bound machine.
-func (d *Driver) Now() float64 { return d.cur }
-
-// Seek repositions the cursor without firing or unfiring anything — the
-// caller has replayed (or restored, via machine.Snapshot) the victim state
-// at time t by other means.
-func (d *Driver) Seek(t float64) { d.cur = t }
-
-// Rewind resets the cursor to the start of the experiment. Pair with
-// restoring the machine to its matching snapshot: replay after a Rewind is
-// then a pure function of (snapshot, seed).
-func (d *Driver) Rewind() { d.cur = 0 }
-
-// AdvanceTo fires every event in [Now(), t) on the bound kernel's machine
-// and moves the cursor to t. Advancing in chunks is equivalent to one big
-// advance: AdvanceTo(a) then AdvanceTo(b) replays exactly the events of
-// AdvanceTo(b) from the start.
-func (d *Driver) AdvanceTo(t float64) {
-	d.ReplayWindow(d.k.Machine(), d.cur, t)
-	d.cur = t
-}
-
 // EnsureHorizon materializes every unbounded timeline through time t, so
 // that subsequent ReplayWindow calls below that horizon are pure reads and
 // can safely run concurrently on worker replicas. No-op for bounded
@@ -260,8 +233,8 @@ func (d *Driver) EnsureHorizon(t float64) {
 
 // ReplayWindow replays the events of the half-open window [t0, t1) against
 // an arbitrary machine sharing the victim's address space — a scan-engine
-// worker replica, the bound machine itself, anything. It is stateless
-// (cursor untouched), deterministic and idempotent-per-window, so chunked
+// worker replica, the bound machine itself, anything. It is stateless,
+// deterministic and idempotent-per-window, so chunked
 // workers can replay disjoint windows concurrently on their private
 // replicas: each replica's TLB sees exactly the fills the victim produced
 // in that window.
@@ -291,16 +264,3 @@ func (d *Driver) ReplayWindow(m *machine.Machine, t0, t1 float64) {
 // t0 + i*tick: a grid point must not fall out of (or into) a window over a
 // 1e-9-relative rounding wobble.
 const timeEps = 1e-9
-
-// Step fires the events of the single instant t on the bound machine (the
-// legacy spy-loop entry point, equivalent to ReplayWindow(machine, t,
-// t+Resolution) for grid-aligned t).
-func (d *Driver) Step(t float64) error {
-	m := d.k.Machine()
-	for ti, tl := range d.timelines {
-		if tl.ActiveAt(t) {
-			m.KernelTouch(d.touch[ti]...)
-		}
-	}
-	return nil
-}

@@ -92,22 +92,29 @@ func TestDriverStepTouchesModuleTLB(t *testing.T) {
 	if res, _ := m.TLB.Lookup(lm.Base, m.KernelAS.ASID); res != 0 {
 		t.Fatal("module TLB-resident before any event")
 	}
-	if err := d.Step(5); err != nil { // active window
-		t.Fatal(err)
-	}
+	step(d, m, 5) // active window
 	if res, _ := m.TLB.Lookup(lm.Base, m.KernelAS.ASID); res == 0 {
-		t.Fatal("active module not TLB-resident after Step")
+		t.Fatal("active module not TLB-resident after step")
 	}
 	m.EvictTLB()
-	if err := d.Step(15); err != nil { // inactive
-		t.Fatal(err)
-	}
+	step(d, m, 15) // inactive
 	if res, _ := m.TLB.Lookup(lm.Base, m.KernelAS.ASID); res != 0 {
 		t.Fatal("inactive module touched the TLB")
 	}
 }
 
-// bootDriver builds a deterministic kernel + driver pair for the seekable
+// step fires the events of the single instant t on m: the legacy spy-loop
+// entry point, kept as the reference the ReplayWindow event grid is checked
+// against (for grid-aligned t it equals ReplayWindow(m, t, t+resolution)).
+func step(d *Driver, m *machine.Machine, t float64) {
+	for ti, tl := range d.timelines {
+		if tl.ActiveAt(t) {
+			m.KernelTouch(d.touch[ti]...)
+		}
+	}
+}
+
+// bootDriver builds a deterministic kernel + driver pair for the
 // event-source tests.
 func bootDriver(t *testing.T, seed uint64, timelines ...*Timeline) (*machine.Machine, *linux.Kernel, *Driver) {
 	t.Helper()
@@ -123,26 +130,27 @@ func bootDriver(t *testing.T, seed uint64, timelines ...*Timeline) (*machine.Mac
 	return m, k, d
 }
 
-// AdvanceTo must be chunk-composable: advancing in arbitrary pieces leaves
-// the machine in exactly the state one big advance produces (the property
-// chunked scan workers rely on when they replay disjoint windows).
+// Advancing the victim through a window must be chunk-composable:
+// replaying it in arbitrary pieces leaves the machine in exactly the state
+// one ReplayWindow over the whole window produces (the property chunked
+// scan workers rely on when they replay disjoint windows).
 func TestDriverAdvanceToComposes(t *testing.T) {
 	tl := FixedTimeline(BluetoothAudio(), Interval{3, 9}, Interval{14, 20})
-	mA, _, dA := bootDriver(t, 33, tl)
-	mB, _, dB := bootDriver(t, 33, FixedTimeline(BluetoothAudio(), Interval{3, 9}, Interval{14, 20}))
+	_, kA, dA := bootDriver(t, 33, tl)
+	_, kB, dB := bootDriver(t, 33, FixedTimeline(BluetoothAudio(), Interval{3, 9}, Interval{14, 20}))
+	mA, mB := kA.Machine(), kB.Machine()
 
-	dA.AdvanceTo(25)
+	dA.ReplayWindow(mA, 0, 25)
+	prev := 0.0
 	for _, cut := range []float64{4, 9.5, 10, 17, 25} {
-		dB.AdvanceTo(cut)
-	}
-	if dA.Now() != 25 || dB.Now() != 25 {
-		t.Fatalf("cursors %v / %v, want 25", dA.Now(), dB.Now())
+		dB.ReplayWindow(mB, prev, cut)
+		prev = cut
 	}
 	if !reflect.DeepEqual(tlbResidency(mA, dA), tlbResidency(mB, dB)) {
-		t.Fatal("chunked AdvanceTo leaves different TLB residency than one advance")
+		t.Fatal("chunked ReplayWindow leaves different TLB residency than one window")
 	}
 	if mA.TLB.EntryCount() != mB.TLB.EntryCount() {
-		t.Fatal("chunked AdvanceTo leaves different TLB entry count")
+		t.Fatal("chunked ReplayWindow leaves different TLB entry count")
 	}
 }
 
@@ -160,31 +168,30 @@ func tlbResidency(m *machine.Machine, d *Driver) []bool {
 	return out
 }
 
-// ReplayWindow must be stateless (cursor untouched) and equivalent to the
-// same window replayed on the bound machine via AdvanceTo.
+// ReplayWindow must be stateless: replaying other windows on another
+// machine leaves the driver's later replays, and the bound machine,
+// untouched, so a window replays identically whatever ran before it.
 func TestDriverReplayWindowStateless(t *testing.T) {
 	tl := FixedTimeline(MouseMovement(), Interval{0, 12})
-	mA, _, dA := bootDriver(t, 34, tl)
-	mB, _, dB := bootDriver(t, 34, FixedTimeline(MouseMovement(), Interval{0, 12}))
+	_, kA, dA := bootDriver(t, 34, tl)
+	_, kB, dB := bootDriver(t, 34, FixedTimeline(MouseMovement(), Interval{0, 12}))
+	mA, mB := kA.Machine(), kB.Machine()
+
+	before := mB.Snapshot()
+	other := mB.Clone(99)
+	dB.ReplayWindow(other, 0, 12)
+	dB.ReplayWindow(other, 6, 9)
+	if !reflect.DeepEqual(before, mB.Snapshot()) {
+		t.Fatal("replaying on another machine mutated the bound machine")
+	}
 
 	dA.ReplayWindow(mA, 2, 8)
-	if dA.Now() != 0 {
-		t.Fatalf("ReplayWindow moved the cursor to %v", dA.Now())
-	}
-	dB.Seek(2)
-	dB.AdvanceTo(8)
+	dB.ReplayWindow(mB, 2, 8)
 	if !reflect.DeepEqual(tlbResidency(mA, dA), tlbResidency(mB, dB)) {
-		t.Fatal("ReplayWindow residency differs from the AdvanceTo equivalent")
+		t.Fatal("a window replays differently after other windows ran elsewhere")
 	}
-
-	// Rewind repositions without unfiring: machine state stays, cursor 0.
-	before := mA.Snapshot()
-	dA.Rewind()
-	if dA.Now() != 0 {
-		t.Fatal("Rewind did not reset the cursor")
-	}
-	if !reflect.DeepEqual(before, mA.Snapshot()) {
-		t.Fatal("Rewind mutated machine state")
+	if mA.TLB.EntryCount() != mB.TLB.EntryCount() {
+		t.Fatal("a window leaves a different TLB entry count after other windows ran elsewhere")
 	}
 }
 
@@ -296,21 +303,19 @@ func TestEnsureCoverageMakesReadsPure(t *testing.T) {
 	}
 }
 
-// The event grid must match the legacy Step loop: for grid-aligned ticks,
-// ReplayWindow(m, t, t+1) fires exactly what Step(t) fired.
+// The event grid must match the legacy step loop: for grid-aligned ticks,
+// ReplayWindow(m, t, t+1) fires exactly what step(t) fires.
 func TestDriverReplayWindowMatchesStepLoop(t *testing.T) {
 	tl := FixedTimeline(BluetoothAudio(), Interval{2, 5}, Interval{7, 8})
 	mA, _, dA := bootDriver(t, 35, tl)
 	mB, _, dB := bootDriver(t, 35, FixedTimeline(BluetoothAudio(), Interval{2, 5}, Interval{7, 8}))
 
 	for tick := 0; tick < 10; tick++ {
-		if err := dA.Step(float64(tick)); err != nil {
-			t.Fatal(err)
-		}
+		step(dA, mA, float64(tick))
 		dB.ReplayWindow(mB, float64(tick), float64(tick)+1)
 	}
 	if !reflect.DeepEqual(tlbResidency(mA, dA), tlbResidency(mB, dB)) {
-		t.Fatal("windowed replay differs from the legacy Step loop")
+		t.Fatal("windowed replay differs from the legacy step loop")
 	}
 	if mA.TLB.EntryCount() != mB.TLB.EntryCount() {
 		t.Fatal("windowed replay leaves different TLB entry count")

@@ -3,13 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/behavior"
 	"repro/internal/fault"
 	"repro/internal/linux"
-	"repro/internal/paging"
-	"repro/internal/scan"
 )
 
 // AppProfile describes an application by the kernel modules its activity
@@ -22,13 +21,6 @@ type AppProfile struct {
 	Name string
 	// Modules lists the driver modules the app keeps active.
 	Modules []string
-}
-
-// Signature returns the sorted module list (the classification key).
-func (a AppProfile) Signature() []string {
-	s := append([]string(nil), a.Modules...)
-	sort.Strings(s)
-	return s
 }
 
 // StandardAppProfiles returns a distinguishable demo population. Every
@@ -49,170 +41,129 @@ func StandardAppProfiles() []AppProfile {
 // "alias:real" use the real module name (lets profiles stay readable while
 // reusing the loaded-module DB).
 func appModule(name string) string {
-	for i := 0; i < len(name); i++ {
-		if name[i] == ':' {
-			return name[i+1:]
+	return name[strings.IndexByte(name, ':')+1:]
+}
+
+// LocateWatch builds the watch map of a profile population: every module a
+// profile references, keyed by its real name and located via a prior
+// Modules attack result (LocateTargets' unique-size classification).
+func LocateWatch(res ModulesResult, profiles []AppProfile) (map[string]linux.LoadedModule, error) {
+	watch := make(map[string]linux.LoadedModule)
+	for _, prof := range profiles {
+		for _, mn := range prof.Modules {
+			name := appModule(mn)
+			if _, ok := watch[name]; ok {
+				continue
+			}
+			targets, err := LocateTargets(res, name)
+			if err != nil {
+				return nil, err
+			}
+			watch[name] = targets[0]
 		}
 	}
-	return name
+	return watch, nil
 }
 
 // AppFingerprinter observes a set of module addresses and classifies the
-// foreground application by which modules show TLB activity.
+// foreground application by which modules show TLB activity. It runs the
+// behavior spy's tick sweep over the watched modules and votes on its
+// per-tick verdicts.
 type AppFingerprinter struct {
 	P *Prober
-	// Watch maps module name → located module (from the Modules attack).
-	// At most 64 modules (one vote bit each per tick).
+	// Watch maps module name → located module (from the Modules attack, see
+	// LocateWatch). At most MaxSpyTargets modules: each one is a target of
+	// the behavior spy's tick.
 	Watch map[string]linux.LoadedModule
 	// Profiles is the candidate population.
 	Profiles []AppProfile
 	// Ticks and TickSec control the observation window.
 	Ticks   int
 	TickSec float64
+
+	// spy sweeps the watched modules; names[i] is the Watch key of
+	// spy.Targets[i]. Both are rebuilt per window in reused buffers.
+	spy   BehaviorSpy
+	names []string
 }
 
-// watchEntry is one watched module with its fixed probe order position.
-type watchEntry struct {
-	name string
-	lm   linux.LoadedModule
-}
-
-// init fills defaults and freezes the watch list in sorted-name order: the
-// per-tick probe sequence (and therefore the noise-draw assignment) must be
-// deterministic, which iterating the Watch map never was.
-func (f *AppFingerprinter) init() ([]watchEntry, error) {
+// init fills defaults and freezes the watch list in sorted-name order as
+// the spy's targets: the per-tick probe sequence (and therefore the
+// noise-draw assignment) must be deterministic, which iterating the Watch
+// map never was.
+func (f *AppFingerprinter) init() error {
 	if f.Ticks <= 0 {
 		f.Ticks = 10
 	}
 	if f.TickSec <= 0 {
 		f.TickSec = 1
 	}
-	if len(f.Watch) > 64 {
-		return nil, fmt.Errorf("core: %d watched modules, max 64", len(f.Watch))
+	f.names = f.names[:0]
+	for name := range f.Watch {
+		f.names = append(f.names, name)
 	}
-	watch := make([]watchEntry, 0, len(f.Watch))
-	for name, lm := range f.Watch {
-		watch = append(watch, watchEntry{name: name, lm: lm})
+	slices.Sort(f.names)
+	targets := f.spy.Targets[:0]
+	for _, name := range f.names {
+		targets = append(targets, f.Watch[name])
 	}
-	sort.Slice(watch, func(i, j int) bool { return watch[i].name < watch[j].name })
-	return watch, nil
+	f.spy = BehaviorSpy{P: f.P, Targets: targets, PagesPerModule: 4, TickSec: f.TickSec}
+	return f.spy.init()
 }
 
-// tick runs one observation tick at victim time t on p's machine and
-// returns the bitmask of watched modules (in sorted-name order) whose
-// leading pages probed TLB-hot. Same canonical tick shape as the behavior
-// spy's: reset, driver replay, clock advance, probes, eviction — and the
-// same batched per-target sweep (ProbeTLBBatch into prober-owned windows,
-// zero steady-state allocations).
-func (f *AppFingerprinter) tick(p *Prober, d *behavior.Driver, watch []watchEntry, t float64) uint64 {
-	m := p.M
-	m.ResetTranslationState()
-	d.ReplayWindow(m, t, t+f.TickSec)
-	m.AdvanceSeconds(f.TickSec)
-	var mask uint64
-	for wi := range watch {
-		lm := &watch[wi].lm
-		n := leadingPages(4, lm.Size)
-		best := 0.0
-		if n > 0 {
-			cyc, fast := p.tickWindows(n)
-			p.ProbeTLBBatch(lm.Base, n, paging.Page4K, cyc, fast)
-			best = cyc[0]
-			for _, c := range cyc[1:] {
-				if c < best {
-					best = c
-				}
-			}
-		}
-		if p.Threshold.Classify(best) {
-			mask |= 1 << wi
-		}
-	}
-	m.EvictTLB()
-	return mask
-}
-
-// fpWorker shards the fingerprinter's observation window exactly like
-// spyWorker shards the behavior spy's: probe index = tick, verdict = the
-// tick's hot-module bitmask, healing disabled.
-type fpWorker struct {
-	workerBase
-	f     *AppFingerprinter
-	d     *behavior.Driver
-	watch []watchEntry
-	t0    float64
-}
-
-// ProbeChunk runs the chunk's ticks in order, like spyWorker's.
-func (w *fpWorker) ProbeChunk(_ paging.VirtAddr, _ uint64, lo, hi int,
-	verdicts []uint64, cycles []float64) {
-	for i := lo; i < hi; i++ {
-		mask := w.f.tick(w.p, w.d, w.watch, w.t0+float64(i)*w.f.TickSec)
-		verdicts[i-lo], cycles[i-lo] = mask, float64(mask)
-	}
-}
-
-// Classify runs the observation loop against a victim driver from time 0
-// and returns the best-matching profile.
-func (f *AppFingerprinter) Classify(d *behavior.Driver) (AppProfile, error) {
-	return f.ClassifyFrom(d, 0)
-}
-
-// ClassifyFrom observes the window [t0, t0 + Ticks*TickSec) on the scan
-// engine — ticks fan out across Options.Workers replicas, each replaying
-// its chunk's driver events privately — and classifies the foreground app
-// by majority vote over the ticks. Output is bit-identical at any worker
-// setting and pool history, and to the sequential yardstick
-// loop of the parity suite.
+// ClassifyFrom observes the window [t0, t0 + Ticks*TickSec) with the
+// behavior spy's sweep and classifies the foreground app by majority vote
+// over the ticks. Output is bit-identical at any worker setting and pool
+// history, and to the sequential yardstick loop of the parity suite.
 // Windows compose like the behavior spy's: consecutive calls continue the
 // victim's timeline.
 func (f *AppFingerprinter) ClassifyFrom(d *behavior.Driver, t0 float64) (AppProfile, error) {
 	if err := f.P.M.Fire(fault.Probe); err != nil {
 		return AppProfile{}, err
 	}
-	watch, err := f.init()
-	if err != nil {
+	if err := f.init(); err != nil {
 		return AppProfile{}, err
 	}
-	// Materialize unbounded victim timelines through the window before the
-	// fan-out: worker replicas then replay events as pure reads.
-	d.EnsureHorizon(t0 + float64(f.Ticks)*f.TickSec)
-	res := runSweep(f.P, 0, f.Ticks, 1, tickChunk(f.P), -1,
-		func(rp *Prober) scan.Worker[uint64] {
-			return &fpWorker{workerBase: workerBase{p: rp}, f: f, d: d, watch: watch, t0: t0}
-		})
-	return f.match(watch, res.Verdicts)
+	return f.match(f.spy.sweep(d, t0, f.Ticks))
 }
 
-// match tallies the per-tick hot masks — a module counts as active when hot
+// match tallies the per-tick verdicts — a module counts as active when hot
 // in a majority of ticks (single-tick transients are noise) — and matches
 // the active set exactly against the profile population.
-func (f *AppFingerprinter) match(watch []watchEntry, masks []uint64) (AppProfile, error) {
-	var active []string
-	for wi := range watch {
+func (f *AppFingerprinter) match(obs []tickObs) (AppProfile, error) {
+	var active []string // sorted: names is
+	for wi, name := range f.names {
 		votes := 0
-		for _, mask := range masks {
-			if mask&(1<<wi) != 0 {
+		for i := range obs {
+			if obs[i].active[wi] {
 				votes++
 			}
 		}
 		if votes > f.Ticks/2 {
-			active = append(active, watch[wi].name)
+			active = append(active, name)
 		}
 	}
-	sort.Strings(active)
-
 	for _, prof := range f.Profiles {
-		want := make([]string, 0, len(prof.Modules))
-		for _, mn := range prof.Modules {
-			want = append(want, appModule(mn))
-		}
-		sort.Strings(want)
-		if equalStrings(active, want) {
+		if namesExactly(prof, active) {
 			return prof, nil
 		}
 	}
 	return AppProfile{}, fmt.Errorf("%w active set %v", ErrNoProfileMatch, active)
+}
+
+// namesExactly reports whether the profile names exactly the modules of
+// the duplicate-free set active: as many modules, and every active one
+// among them.
+func namesExactly(prof AppProfile, active []string) bool {
+	if len(prof.Modules) != len(active) {
+		return false
+	}
+	for _, name := range active {
+		if !slices.ContainsFunc(prof.Modules, func(mn string) bool { return appModule(mn) == name }) {
+			return false
+		}
+	}
+	return true
 }
 
 // ErrNoProfileMatch reports an observed active set that matches no profile
@@ -235,18 +186,3 @@ func TimelinesFor(prof AppProfile, duration float64) []*behavior.Timeline {
 	}
 	return tls
 }
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// paging4k converts a page index to a byte offset.
-func paging4k(pg int) paging.VirtAddr { return paging.VirtAddr(uint64(pg) << 12) }

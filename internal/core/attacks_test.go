@@ -200,7 +200,7 @@ func TestBehaviorSpyTracksActivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	spy := &BehaviorSpy{P: p, Targets: targets}
-	traces, err := spy.Run(drv, 100)
+	traces, err := spy.RunWindow(drv, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

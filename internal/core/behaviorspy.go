@@ -41,18 +41,19 @@ func (t SpyTrace) Accuracy(tl *behavior.Timeline) float64 {
 	return float64(ok) / float64(len(t.Samples))
 }
 
-// MaxSpyTargets bounds the modules one spy watches per sweep (the tick
-// verdict is a fixed-size record so the scan engine can merge it).
+// MaxSpyTargets bounds the modules one spy — and so one app fingerprinter's
+// watch — probes per sweep (the tick verdict is a fixed-size record so the
+// scan engine can merge it).
 const MaxSpyTargets = 8
 
 // tickObs is one tick's observation across all watched targets — the
-// verdict type of the temporal sweeps. Unused slots stay zero.
+// verdict type of the temporal sweep. Unused slots stay zero.
 type tickObs struct {
 	min    [MaxSpyTargets]float64
 	active [MaxSpyTargets]bool
 }
 
-// tickChunk returns the shard granularity of temporal sweeps, in ticks:
+// tickChunk returns the shard granularity of the temporal sweep, in ticks:
 // small enough that a 100-tick Figure 6 run still fans out across workers,
 // overridable through the usual Options.ScanChunkPages knob.
 func tickChunk(p *Prober) int {
@@ -154,8 +155,8 @@ func leadingPages(want int, size uint64) int {
 // spyWorker shards the spy's time axis: probe index i is tick i of the
 // window, and each chunk of ticks replays its own driver events against the
 // worker's private machine replica (behavior.Driver.ReplayWindow is
-// stateless), so a chunk's trace segment is bit-identical no matter which
-// worker runs it. Healing is disabled for temporal sweeps — adjacent ticks
+// stateless), so a chunk's observations are bit-identical no matter which
+// worker runs it. Healing is disabled for the temporal sweep — adjacent ticks
 // legitimately disagree whenever the victim starts or stops an activity.
 type spyWorker struct {
 	workerBase
@@ -174,20 +175,11 @@ func (w *spyWorker) ProbeChunk(_ paging.VirtAddr, _ uint64, lo, hi int,
 	}
 }
 
-// Run replays the experiment for duration seconds against the victim
-// driver from time 0: each tick the victim acts per its timelines, then the
-// spy probes and evicts. Returns one trace per target, aligned with the
-// driver's timelines.
-func (s *BehaviorSpy) Run(d *behavior.Driver, duration float64) ([]SpyTrace, error) {
-	return s.RunWindow(d, 0, duration)
-}
-
-// RunWindow runs the spy over the victim-time window [t0, t1) on the scan
-// engine: ticks become probe indices, chunks of ticks fan out across
-// Options.Workers machine replicas, and each worker replays the driver
-// events of its chunk's window against its replica. Output is bit-identical
-// at any worker setting, whichever pooled replicas serve it, and to the plain
-// sequential tick loop the parity suite keeps as its yardstick.
+// RunWindow runs the spy over the victim-time window [t0, t1) and returns
+// one trace per target, aligned with the driver's timelines. Output is
+// bit-identical at any worker setting, whichever pooled replicas serve it,
+// and to the plain sequential tick loop the parity suite keeps as its
+// yardstick.
 //
 // Windows compose: consecutive RunWindow calls on one prober continue the
 // victim's timeline, which is what lets a service session carry spy state
@@ -199,15 +191,22 @@ func (s *BehaviorSpy) RunWindow(d *behavior.Driver, t0, t1 float64) ([]SpyTrace,
 	if err := s.init(); err != nil {
 		return nil, err
 	}
+	return s.assemble(t0, s.sweep(d, t0, windowTicks(t0, t1, s.TickSec))), nil
+}
+
+// sweep runs n ticks from victim time t0 on the scan engine — the one
+// temporal sweep, which the app fingerprinter also votes on. Ticks become
+// probe indices, chunks of ticks fan out across Options.Workers machine
+// replicas, and each worker replays the driver events of its chunk's
+// window against its replica. The spy must be initialized.
+func (s *BehaviorSpy) sweep(d *behavior.Driver, t0 float64, n int) []tickObs {
 	// Materialize unbounded victim timelines through the window before the
 	// fan-out: worker replicas then replay events as pure reads.
-	d.EnsureHorizon(t1)
-	n := windowTicks(t0, t1, s.TickSec)
-	res := runSweep(s.P, 0, n, 1, tickChunk(s.P), -1,
+	d.EnsureHorizon(t0 + float64(n)*s.TickSec)
+	return runSweep(s.P, 0, n, 1, tickChunk(s.P), -1,
 		func(rp *Prober) scan.Worker[tickObs] {
 			return &spyWorker{workerBase: workerBase{p: rp}, spy: s, d: d, t0: t0}
-		})
-	return s.assemble(t0, res.Verdicts), nil
+		}).Verdicts
 }
 
 // assemble splits the merged per-tick observations into per-target traces.

@@ -22,7 +22,8 @@
 //
 // On top of the primitives, the package provides the end-to-end attacks the
 // paper evaluates: KernelBase (§IV-B), Modules (§IV-C), KPTIBreak (§IV-D),
-// BehaviorSpy (§IV-E), UserScan/LibraryFingerprint incl. SGX (§IV-F),
+// BehaviorSpy and the AppFingerprinter that votes on its ticks (§IV-E),
+// UserScan/LibraryFingerprint incl. SGX (§IV-F),
 // WindowsKernel/KVASBreak (§IV-G) and the cloud scenarios (§IV-H), plus the
 // n-trial evaluation harness behind Table I.
 //

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/behavior"
@@ -25,7 +29,7 @@ func TestKeystrokeInference(t *testing.T) {
 		t.Fatal(err)
 	}
 	spy := &BehaviorSpy{P: p, Targets: targets, PagesPerModule: 4}
-	traces, err := spy.Run(drv, 60)
+	traces, err := spy.RunWindow(drv, 0, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +66,7 @@ func TestAppFingerprinting(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := &AppFingerprinter{P: p, Watch: watch, Profiles: profiles, Ticks: 8}
-		got, err := f.Classify(drv)
+		got, err := f.ClassifyFrom(drv, 0)
 		if err != nil {
 			t.Fatalf("classifying %q: %v", truth.Name, err)
 		}
@@ -72,15 +76,40 @@ func TestAppFingerprinting(t *testing.T) {
 	}
 }
 
+// A watch list longer than the spy tick's fixed observation record is an
+// error, not an out-of-range panic inside the sweep.
+func TestAppFingerprintWatchBound(t *testing.T) {
+	p, k := bootedProber(t, uarch.IceLake1065G7(), 831, linux.Config{})
+	lm, ok := k.Module("bluetooth")
+	if !ok {
+		t.Fatal("bluetooth not loaded")
+	}
+	watch := make(map[string]linux.LoadedModule)
+	for i := 0; i <= MaxSpyTargets; i++ {
+		watch[fmt.Sprintf("m%d", i)] = lm
+	}
+	drv, err := behavior.NewDriver(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &AppFingerprinter{P: p, Watch: watch, Profiles: StandardAppProfiles(), Ticks: 4}
+	_, err = f.ClassifyFrom(drv, 0)
+	if err == nil || errors.Is(err, ErrNoProfileMatch) {
+		t.Fatalf("%d watched modules: err %v, want a watch-bound error", len(watch), err)
+	}
+}
+
 // TestAppProfilesDistinct guards the demo population: profiles must have
 // distinct module sets or classification is ill-posed.
 func TestAppProfilesDistinct(t *testing.T) {
 	seen := map[string]string{}
 	for _, prof := range StandardAppProfiles() {
-		key := ""
-		for _, mn := range prof.Signature() {
-			key += appModule(mn) + "|"
+		mods := make([]string, len(prof.Modules))
+		for i, mn := range prof.Modules {
+			mods[i] = appModule(mn)
 		}
+		slices.Sort(mods)
+		key := strings.Join(mods, "|")
 		if other, dup := seen[key]; dup {
 			t.Fatalf("%s and %s share a module set", prof.Name, other)
 		}

@@ -304,7 +304,7 @@ func (w *termWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int
 
 // runSweep is the one scan path every sharded sweep takes — large VA
 // ranges (probe indices are pages/slots) and temporal attacks alike (probe
-// indices are time ticks; see spyWorker/fpWorker). It shards the index
+// indices are time ticks; see spyWorker). It shards the index
 // range across Options.Workers machine replicas drawn from Options.Pool,
 // merges deterministically, and folds the workers' simulated probing cycles,
 // performance counters and fault counts back into the prober's machine, so

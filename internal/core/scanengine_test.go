@@ -251,10 +251,10 @@ func TestPoolConcurrentScans(t *testing.T) {
 	wg.Wait()
 }
 
-// The pool's point: a pooled re-scan must not pay the ~170-allocation
-// Machine.Clone cost per worker again. Steady-state allocations per scan
-// must sit far below even one clone, and far below a first scan, which
-// clones its workers into an empty pool.
+// The pool's point: a pooled re-scan must not pay the Machine.Clone cost
+// per worker again. Steady-state allocations per scan must sit below even
+// one clone, measured here on the same machine, and far below a first
+// scan, which clones its workers into an empty pool.
 func TestPooledRescanDoesNotReclone(t *testing.T) {
 	const pages = 1024
 	pool := NewScanPool()
@@ -275,9 +275,13 @@ func TestPooledRescanDoesNotReclone(t *testing.T) {
 		pf.ScanMapped(linux.ModuleRegionBase, pages, paging.Page4K)
 	})
 
-	t.Logf("allocs/scan: pooled %.0f, first %.0f", pooled, first)
-	if pooled > 150 {
-		t.Errorf("pooled re-scan allocates %.0f/scan, want far below one ~170-alloc clone", pooled)
+	// One replica clone, measured on the same machine: a pooled re-scan
+	// that re-cloned even one replica would cost at least this much.
+	clone := testing.AllocsPerRun(5, func() { p.M.Clone(0) })
+
+	t.Logf("allocs/scan: pooled %.0f, first %.0f; allocs/clone %.0f", pooled, first, clone)
+	if pooled >= clone {
+		t.Errorf("pooled re-scan allocates %.0f/scan, at least one %.0f-alloc replica clone", pooled, clone)
 	}
 	if pooled > first/3 {
 		t.Errorf("pooled re-scan allocates %.0f/scan vs first scan %.0f — pool not amortizing clones", pooled, first)

@@ -66,7 +66,7 @@ func TestBehaviorSpyEngineParity(t *testing.T) {
 
 	pRef, drvRef, targetsRef, _ := temporalVictim(t, seed, Options{})
 	spyRef := &BehaviorSpy{P: pRef, Targets: targetsRef, PagesPerModule: 10, TickSec: 1}
-	want, err := spyRef.RunSequential(drvRef, duration)
+	want, err := spyRef.RunWindowSequential(drvRef, 0, duration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,17 +160,9 @@ func TestAppFingerprintEngineParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		located := Modules(p, SizeTable(k.ProcModules()))
-		watch := make(map[string]linux.LoadedModule)
-		for _, prof := range profiles {
-			for _, mn := range prof.Modules {
-				name := appModule(mn)
-				targets, err := LocateTargets(located, name)
-				if err != nil {
-					t.Fatalf("locating %s: %v", name, err)
-				}
-				watch[name] = targets[0]
-			}
+		watch, err := LocateWatch(Modules(p, SizeTable(k.ProcModules())), profiles)
+		if err != nil {
+			t.Fatal(err)
 		}
 		drv, err := behavior.NewDriver(k, TimelinesFor(truth, 60)...)
 		if err != nil {
@@ -179,9 +171,9 @@ func TestAppFingerprintEngineParity(t *testing.T) {
 		fp := &AppFingerprinter{P: p, Watch: watch, Profiles: profiles, Ticks: 8}
 		var got AppProfile
 		if sequential {
-			got, err = fp.ClassifySequential(drv)
+			got, err = fp.ClassifyFromSequential(drv, 0)
 		} else {
-			got, err = fp.Classify(drv)
+			got, err = fp.ClassifyFrom(drv, 0)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -10,21 +10,25 @@ import (
 )
 
 // The sequential and two-pass yardsticks the parity suites measure the
-// engine-based attacks against. They live here, not in the production
-// API: nothing but the parity tests and BenchmarkUserScanTwoPass calls
-// them.
+// engine-based attacks against: one sequential temporal sweep, which both
+// temporal attacks' yardsticks run on, and the two-pass user scan. They
+// live here, not in the production API: nothing but the parity tests and
+// BenchmarkUserScanTwoPass calls them.
 
-// sequentialTicks runs n tick bodies in order on p's own machine under the
-// engine's exact determinism contract — the same scan-epoch seed
-// derivation, per-chunk noise reseed + translation reset, and canonical
-// post-sweep state that runSweep applies. It is the one place the temporal
-// yardstick loops (BehaviorSpy.RunWindowSequential,
-// AppFingerprinter.ClassifyFromSequential) get their chunk scaffolding
-// from, so the seed contract cannot drift between them and the engine.
-func sequentialTicks(p *Prober, n int, body func(i int)) {
+// sequentialSweep runs n spy ticks from victim time t0 in order on the
+// spy's own machine under the engine's exact determinism contract — the
+// same scan-epoch seed derivation, per-chunk noise reseed + translation
+// reset, and canonical post-sweep state that runSweep applies. It is the
+// sequential yardstick of BehaviorSpy.sweep, the one temporal sweep both
+// RunWindow and AppFingerprinter.ClassifyFrom run on; the spy must be
+// initialized.
+func sequentialSweep(s *BehaviorSpy, d *behavior.Driver, t0 float64, n int) []tickObs {
+	p := s.P
+	d.EnsureHorizon(t0 + float64(n)*s.TickSec)
 	p.scanEpoch++
 	seed := p.M.Seed() ^ (p.scanEpoch * 0x9e3779b97f4a7c15)
 	chunk := tickChunk(p)
+	obs := make([]tickObs, n)
 	for lo, c := 0, 0; lo < n; lo, c = lo+chunk, c+1 {
 		hi := lo + chunk
 		if hi > n {
@@ -33,56 +37,33 @@ func sequentialTicks(p *Prober, n int, body func(i int)) {
 		p.M.ReseedNoise(scan.StreamSeed(seed, uint64(c)))
 		p.M.ResetTranslationState()
 		for i := lo; i < hi; i++ {
-			body(i)
+			obs[i] = s.tick(p, d, t0+float64(i)*s.TickSec)
 		}
 	}
 	p.M.ReseedNoise(scan.StreamSeed(seed, scan.PostSweepStream))
 	p.M.ResetTranslationState()
-}
-
-// RunSequential is the sequential parity yardstick of Run.
-func (s *BehaviorSpy) RunSequential(d *behavior.Driver, duration float64) ([]SpyTrace, error) {
-	return s.RunWindowSequential(d, 0, duration)
+	return obs
 }
 
 // RunWindowSequential is the plain sequential spy loop, kept as the parity
-// yardstick for the engine-based RunWindow: it walks the ticks in order on
-// the prober's own machine under the engine's exact determinism contract
-// (same per-chunk noise seeds, same canonical tick state, same post-sweep
-// state), so its traces must be bit-identical to RunWindow's at every
-// worker setting for a fixed machine seed.
+// yardstick for the engine-based RunWindow: its traces must be
+// bit-identical to RunWindow's at every worker setting for a fixed machine
+// seed.
 func (s *BehaviorSpy) RunWindowSequential(d *behavior.Driver, t0, t1 float64) ([]SpyTrace, error) {
 	if err := s.init(); err != nil {
 		return nil, err
 	}
-	d.EnsureHorizon(t1)
-	n := windowTicks(t0, t1, s.TickSec)
-	obs := make([]tickObs, n)
-	sequentialTicks(s.P, n, func(i int) {
-		obs[i] = s.tick(s.P, d, t0+float64(i)*s.TickSec)
-	})
-	return s.assemble(t0, obs), nil
-}
-
-// ClassifySequential is the sequential parity yardstick of Classify.
-func (f *AppFingerprinter) ClassifySequential(d *behavior.Driver) (AppProfile, error) {
-	return f.ClassifyFromSequential(d, 0)
+	return s.assemble(t0, sequentialSweep(s, d, t0, windowTicks(t0, t1, s.TickSec))), nil
 }
 
 // ClassifyFromSequential is the plain sequential observation loop, kept as
 // the parity yardstick for the engine-based ClassifyFrom (same determinism
-// contract; see BehaviorSpy.RunWindowSequential).
+// contract; see sequentialSweep).
 func (f *AppFingerprinter) ClassifyFromSequential(d *behavior.Driver, t0 float64) (AppProfile, error) {
-	watch, err := f.init()
-	if err != nil {
+	if err := f.init(); err != nil {
 		return AppProfile{}, err
 	}
-	d.EnsureHorizon(t0 + float64(f.Ticks)*f.TickSec)
-	masks := make([]uint64, f.Ticks)
-	sequentialTicks(f.P, f.Ticks, func(i int) {
-		masks[i] = f.tick(f.P, d, watch, t0+float64(i)*f.TickSec)
-	})
-	return f.match(watch, masks)
+	return f.match(sequentialSweep(&f.spy, d, t0, f.Ticks))
 }
 
 // UserScanTwoPass is the serialized two-sweep §IV-F scan the fused UserScan

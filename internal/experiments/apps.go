@@ -49,7 +49,7 @@ func Fig6BehaviorSpy(sc Scale) Report {
 	}
 
 	spy := &core.BehaviorSpy{P: p, Targets: targets, PagesPerModule: 10, TickSec: 1}
-	traces, err := spy.Run(drv, sc.BehaviorSeconds)
+	traces, err := spy.RunWindow(drv, 0, sc.BehaviorSeconds)
 	if err != nil {
 		return Report{ID: "Fig. 6", Measured: err.Error()}
 	}

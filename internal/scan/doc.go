@@ -1,8 +1,9 @@
 // Package scan is the sharded, parallel scan engine behind every sweep in
 // the reproduction: the large virtual-address sweeps (kernel base, module
 // region, Windows 2^18-slot region, the fused user-space fine scan, the
-// AMD walk-termination sweep) and the temporal §IV-E attacks (behavior
-// spy, app fingerprinting), whose probe axis is time rather than address.
+// AMD walk-termination sweep) and the temporal sweep of the §IV-E attacks
+// (the behavior spy's ticks, which the app fingerprinter votes on), whose
+// probe axis is time rather than address.
 //
 // # Architecture
 //
@@ -15,7 +16,7 @@
 //
 // The probe index is an abstract counter, not necessarily an address:
 // address sweeps read index i as the VA start + i*stride, and the temporal
-// sweeps read it as tick i of the observation window, replaying the
+// sweep reads it as tick i of the observation window, replaying the
 // victim's deterministic event timeline for that tick before probing (see
 // core's spyWorker and behavior.Driver.ReplayWindow). Chunks of ticks
 // parallelize exactly like chunks of pages because a tick's outcome is a
@@ -40,8 +41,8 @@
 // their prober's batch window (one masked-op slice for
 // machine.MeasureBatch, so op plumbing and reduction setup are paid once
 // per chunk, and all scratch lives on the pooled prober, so a steady-state
-// sweep allocates nothing per probe), and the temporal workers loop over
-// their chunk's ticks. Healing goes only through Healer: the engine hands
+// sweep allocates nothing per probe), and the temporal worker loops over
+// its chunk's ticks. Healing goes only through Healer: the engine hands
 // each disagreeing index, with its first-pass outcome, to the worker's
 // HealProbe. Single-measurement sweeps merge the minimum of the re-probes
 // with the first-pass value and re-classify; a sweep with healing enabled
@@ -60,7 +61,7 @@
 //
 // # Zero-allocation temporal path
 //
-// The temporal sweeps run thousands of ticks per observation window, and
+// The temporal sweep runs thousands of ticks per observation window, and
 // every tick replays victim events and probes every target's leading
 // pages — so the per-tick path is held to a zero-allocation steady state
 // (alloc-guard tests in core pin it). Three ownership rules make it hold:
@@ -114,8 +115,8 @@
 // worker's HealProbe, every index whose verdict disagrees with a neighbour — both isolated flips
 // (an interrupt spike splitting a run in two) and run edges (a spike
 // silently shortening a run, which breaks exact-run-length signatures).
-// Sweeps whose true signal is isolated singletons — the AMD 4 KiB-slot
-// sweep — and the temporal sweeps disable it with Config.HealSamples < 0.
+// The sweeps whose true signal is isolated singletons — the AMD 4 KiB-slot
+// sweep — and the temporal sweep disable it with Config.HealSamples < 0.
 //
 // The per-chunk reset is a simulator-level operation (no attacker time is
 // charged): sharding models a faster host, not a different attack.

@@ -510,23 +510,15 @@ func normalizeAppFingerprint(s *JobSpec) error {
 // — the spy must see which are active AND which are idle to classify — and
 // keeps the victim app's modules active for the whole (unbounded) session.
 func initAppFingerprint(sess *session, s JobSpec, located core.ModulesResult) error {
-	watch := make(map[string]linux.LoadedModule)
+	profiles := core.StandardAppProfiles()
+	watch, err := core.LocateWatch(located, profiles)
+	if err != nil {
+		return err
+	}
 	var truthProf core.AppProfile
-	for _, prof := range core.StandardAppProfiles() {
+	for _, prof := range profiles {
 		if prof.Name == s.App {
 			truthProf = prof
-		}
-		for _, mn := range prof.Modules {
-			// Profiles name modules as "alias:real".
-			name := mn[strings.IndexByte(mn, ':')+1:]
-			if _, ok := watch[name]; ok {
-				continue
-			}
-			targets, err := core.LocateTargets(located, name)
-			if err != nil {
-				return err
-			}
-			watch[name] = targets[0]
 		}
 	}
 	drv, err := behavior.NewDriver(sess.kernel, core.TimelinesFor(truthProf, math.Inf(1))...)
@@ -540,7 +532,7 @@ func initAppFingerprint(sess *session, s JobSpec, located core.ModulesResult) er
 		Watch:    watch,
 		Ticks:    s.Ticks,
 		TickSec:  s.TickSec,
-		Profiles: core.StandardAppProfiles(),
+		Profiles: profiles,
 	}
 	return nil
 }

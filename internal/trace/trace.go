@@ -1,12 +1,11 @@
-// Package trace renders experiment results: CSV series for offline
-// plotting and ASCII scatter/line plots for the terminal, in the style of
-// the paper's Figures 4–7.
+// Package trace renders experiment results for the terminal: ASCII
+// scatter/line plots in the style of the paper's Figures 4–7, aligned
+// tables, and span timelines.
 package trace
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -24,33 +23,6 @@ func (s *Series) Add(x, y float64) {
 
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.X) }
-
-// CSV renders one or more series as aligned CSV (x, then one column per
-// series; series must share X or be rendered separately).
-func CSV(series ...*Series) string {
-	var b strings.Builder
-	b.WriteString("x")
-	for _, s := range series {
-		fmt.Fprintf(&b, ",%s", s.Name)
-	}
-	b.WriteByte('\n')
-	if len(series) == 0 {
-		return b.String()
-	}
-	n := series[0].Len()
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%g", series[0].X[i])
-		for _, s := range series {
-			if i < s.Len() {
-				fmt.Fprintf(&b, ",%g", s.Y[i])
-			} else {
-				b.WriteString(",")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
 
 // Plot configures an ASCII plot.
 type Plot struct {
@@ -255,26 +227,4 @@ func RenderTimeline(title string, rows []TimelineRow, width int) string {
 	}
 	fmt.Fprintf(&b, "%-*s 0%*s\n", labelW, "", width+7, fmt.Sprintf("%.3fms", float64(maxNs)/1e6))
 	return b.String()
-}
-
-// SortSeriesByX orders a series by ascending X (in place).
-func SortSeriesByX(s *Series) {
-	idx := make([]int, s.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	nx := make([]float64, s.Len())
-	ny := make([]float64, s.Len())
-	for to, from := range idx {
-		nx[to], ny[to] = s.X[from], s.Y[from]
-	}
-	s.X, s.Y = nx, ny
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -14,20 +14,6 @@ func TestSeriesAdd(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	a := &Series{Name: "a"}
-	a.Add(0, 10)
-	a.Add(1, 20)
-	out := CSV(a)
-	want := "x,a\n0,10\n1,20\n"
-	if out != want {
-		t.Fatalf("csv %q, want %q", out, want)
-	}
-	if CSV() != "x\n" {
-		t.Fatal("empty csv wrong")
-	}
-}
-
 func TestPlotRender(t *testing.T) {
 	s := &Series{Name: "mapped"}
 	for i := 0; i < 50; i++ {
@@ -121,16 +107,5 @@ func TestRenderTimelineEdgeCases(t *testing.T) {
 	out := RenderTimeline("t", []TimelineRow{{Label: "hung", StartNs: 100}}, 40)
 	if !strings.Contains(out, ">") || !strings.Contains(out, "...") {
 		t.Fatalf("open span not rendered open-ended:\n%s", out)
-	}
-}
-
-func TestSortSeriesByX(t *testing.T) {
-	s := &Series{Name: "s"}
-	s.Add(3, 30)
-	s.Add(1, 10)
-	s.Add(2, 20)
-	SortSeriesByX(s)
-	if s.X[0] != 1 || s.Y[0] != 10 || s.X[2] != 3 || s.Y[2] != 30 {
-		t.Fatalf("sorted %+v", s)
 	}
 }
