@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // Series is one named (x, y) sequence.
@@ -118,16 +119,17 @@ type Table struct {
 // AddRow appends one row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Render formats the table.
+// Render formats the table. Column widths count runes, as the %-*s
+// padding does, so cells holding multi-byte runes (±, ≤, ×) align.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.Header))
 	for i, hcell := range t.Header {
-		widths[i] = len(hcell)
+		widths[i] = utf8.RuneCountInString(hcell)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}
@@ -188,7 +190,7 @@ func RenderTimeline(title string, rows []TimelineRow, width int) string {
 		if r.StartNs > maxNs {
 			maxNs = r.StartNs
 		}
-		if lw := 2*r.Depth + len(r.Label); lw > labelW {
+		if lw := 2*r.Depth + utf8.RuneCountInString(r.Label); lw > labelW {
 			labelW = lw
 		}
 	}

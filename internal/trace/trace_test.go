@@ -3,6 +3,7 @@ package trace
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestSeriesAdd(t *testing.T) {
@@ -54,9 +55,9 @@ func TestPlotConstantSeries(t *testing.T) {
 }
 
 func TestTableAlignment(t *testing.T) {
-	tab := &Table{Header: []string{"name", "value"}}
-	tab.AddRow("short", "1")
-	tab.AddRow("a-much-longer-name", "22")
+	tab := &Table{Header: []string{"name", "value", "note"}}
+	tab.AddRow("short", "1", "-")
+	tab.AddRow("a-much-longer-name", "22±0.5 ≤ 30", "x")
 	out := tab.Render()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 {
@@ -65,10 +66,23 @@ func TestTableAlignment(t *testing.T) {
 	if !strings.HasPrefix(lines[1], "----") {
 		t.Fatalf("no separator: %q", lines[1])
 	}
-	// Columns align: "value" column starts at the same offset everywhere.
-	idx := strings.Index(lines[0], "value")
-	if !strings.HasPrefix(lines[3][idx:], "22") {
-		t.Fatalf("misaligned table:\n%s", out)
+	// Columns align in runes, multi-byte cells included: each column
+	// starts at the same rune offset on every line.
+	runeIndex := func(line, sub string) int {
+		return utf8.RuneCountInString(line[:strings.Index(line, sub)])
+	}
+	if runeIndex(lines[3], "22") != runeIndex(lines[0], "value") {
+		t.Fatalf("misaligned value column:\n%s", out)
+	}
+	note := runeIndex(lines[0], "note")
+	for _, c := range []struct{ line, cell string }{{lines[2], "-"}, {lines[3], "x"}} {
+		if got := runeIndex(c.line, c.cell); got != note {
+			t.Fatalf("note cell %q at rune %d, header at %d:\n%s", c.cell, got, note, out)
+		}
+	}
+	// The separator dashes span each column's width in runes.
+	if sep := strings.Fields(lines[1]); len(sep[1]) != utf8.RuneCountInString("22±0.5 ≤ 30") {
+		t.Fatalf("value separator %d dashes:\n%s", len(sep[1]), out)
 	}
 }
 
@@ -107,5 +121,13 @@ func TestRenderTimelineEdgeCases(t *testing.T) {
 	out := RenderTimeline("t", []TimelineRow{{Label: "hung", StartNs: 100}}, 40)
 	if !strings.Contains(out, ">") || !strings.Contains(out, "...") {
 		t.Fatalf("open span not rendered open-ended:\n%s", out)
+	}
+	// Labels are sized and padded in runes: two 2-rune labels, one of them
+	// multi-byte, both start their bars in rune column 3.
+	out = RenderTimeline("", []TimelineRow{{Label: "ab", EndNs: 10}, {Label: "µs", EndNs: 10}}, 20)
+	for _, line := range strings.Split(out, "\n")[:2] {
+		if col := utf8.RuneCountInString(line[:strings.Index(line, "|")]); col != 3 {
+			t.Fatalf("bar starts in rune column %d, want 3:\n%s", col, out)
+		}
 	}
 }
