@@ -131,7 +131,7 @@ func (f *AppFingerprinter) ClassifyFrom(d *behavior.Driver, t0 float64) (AppProf
 // in a majority of ticks (single-tick transients are noise) — and matches
 // the active set exactly against the profile population.
 func (f *AppFingerprinter) match(obs []tickObs) (AppProfile, error) {
-	var active []string // sorted: names is
+	var active []string // in the sorted order of names
 	for wi, name := range f.names {
 		votes := 0
 		for i := range obs {

@@ -33,8 +33,7 @@ func TestSpyTickZeroAllocSteadyState(t *testing.T) {
 // and votes on the ticks, rebuilding the target list in reused buffers.
 // An 8-tick window at Workers 0 on the 5-module standard watch costs 12
 // allocations — the per-window engine setup and result slices, the vote
-// and the profile match, nothing per tick or per target — where it cost
-// 18 when the fingerprinter had its own tick and bitmask verdicts.
+// and the profile match, nothing per tick or per target.
 func TestFingerprintWindowAllocs(t *testing.T) {
 	p, k := bootedProber(t, uarch.IceLake1065G7(), 612, linux.Config{})
 	profiles := StandardAppProfiles()
