@@ -23,7 +23,8 @@
 #   make bench     - the Go micro-benchmarks under internal/ (machine ops,
 #                    the per-VA and batched probes, scan sweeps, the
 #                    defense matrix through the scheduler, one cold
-#                    session build per spatial spec); prints the results
+#                    session build per spatial spec, each temporal
+#                    spec's build cold and replayed); prints the results
 #                    and records nothing. End-to-end numbers come from
 #                    bench/run.sh (see bench/README.md); paper claims and
 #                    ablations are checked by internal/experiments.

@@ -93,19 +93,6 @@ func (tl *Timeline) ActiveAt(t float64) bool {
 	return i < len(tl.On) && tl.On[i].Contains(t)
 }
 
-// Unbounded reports whether the timeline extends lazily (no fixed horizon).
-func (tl *Timeline) Unbounded() bool { return tl.gen != nil }
-
-// CoveredUntil returns the time up to which the schedule is materialized:
-// ActiveAt strictly below it never mutates the timeline. Bounded timelines
-// are complete, so they report +Inf.
-func (tl *Timeline) CoveredUntil() float64 {
-	if tl.gen == nil {
-		return math.Inf(1)
-	}
-	return tl.gen.frontier
-}
-
 // EnsureCoverage materializes an unbounded timeline's schedule so that
 // every query strictly below t (and t itself) is a pure read. No-op on
 // bounded timelines. Idempotent; not safe for concurrent use — call it

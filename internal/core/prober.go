@@ -279,19 +279,28 @@ func (p *Prober) adoptState(s SessionState) {
 }
 
 // Calibration is the portable result of one Calibrate run: the decision
-// thresholds plus the post-calibration execution state. Cache it keyed by
-// victim configuration (preset, boot parameters, seed, prober options) and
-// hand it to NewProberFromCalibration to skip recalibrating a fresh boot of
-// the same victim.
+// thresholds plus the execution state a fresh boot of the same victim
+// should resume from. Cache it keyed by victim configuration (preset, boot
+// parameters, seed, prober options) and hand it to
+// NewProberFromCalibration to skip recalibrating a fresh boot of the same
+// victim.
 type Calibration struct {
 	Threshold      stats.Threshold
 	StoreThreshold stats.Threshold
-	// State is the execution state right after Calibrate returned.
+	// State is the execution state when the calibration was snapshotted:
+	// right after Calibrate returned, or after a probe-only reconnaissance
+	// that followed it (such as a Modules sweep), which a replay then
+	// inherits and must not run again.
 	State SessionState
 }
 
-// CalibrationSnapshot exports the prober's calibration for a session cache.
-// Call it immediately after NewProber, before any attack has run.
+// CalibrationSnapshot exports the prober's calibration for a session cache,
+// with the prober's current state as the state a replay resumes from. Call
+// it right after NewProber, or after probe-only attacks that every replay
+// of this calibration would otherwise repeat (a session's reconnaissance):
+// the replayed prober then starts where those attacks left off, and the
+// replaying caller must skip them. The attacks must not have mutated the
+// page tables.
 func (p *Prober) CalibrationSnapshot() Calibration {
 	return Calibration{Threshold: p.Threshold, StoreThreshold: p.StoreThreshold, State: p.Checkpoint()}
 }
@@ -299,12 +308,16 @@ func (p *Prober) CalibrationSnapshot() Calibration {
 // NewProberFromCalibration creates a prober on m from a cached calibration
 // instead of running Calibrate. m must be a bit-identical replica of the
 // machine the calibration was taken on (same preset, same seed, same boot
-// sequence); restoring the recorded post-calibration state then reproduces
-// the calibrated prober exactly — same thresholds, same clock, same noise
-// position — without paying the calibration's mmap + measurement cost, the
-// way a real attacker calibrates once per victim class and reuses the
-// thresholds across sessions. Every attack result from the returned prober
-// is bit-identical to one from a freshly calibrated prober.
+// sequence); adopting the recorded state then reproduces the original
+// prober at the point of its CalibrationSnapshot exactly — same
+// thresholds, same clock, same noise position — without paying the
+// calibration's mmap + measurement cost, the way a real attacker
+// calibrates once per victim class and reuses the thresholds across
+// sessions. Every attack result from the returned prober is bit-identical
+// to one the original prober would have produced next. When the snapshot
+// was taken after a reconnaissance, the returned prober has already
+// "run" it: the caller reuses its recorded outcome instead of repeating
+// it, or the clock and noise position advance twice.
 //
 // The replay crosses machines, so it adopts the recorded state rather than
 // Restore-ing it (the calibrated original mapped and unmapped scratch

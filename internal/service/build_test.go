@@ -2,16 +2,13 @@ package service
 
 import (
 	"testing"
-
-	"repro/internal/core"
 )
 
 // coldBuildSpecs is the seven-spec spatial mix of bench/'s spatial-hot and
 // spatial-cold workloads (every spatial probe path plus one defended
 // boot), normalized the way Submit normalizes it.
 func coldBuildSpecs(tb testing.TB) []JobSpec {
-	tb.Helper()
-	raw := []JobSpec{
+	return seededSpecs(tb, []JobSpec{
 		{Kind: KindKernelBase, CPU: "12400F"},
 		{Kind: KindKernelBase, CPU: "5600X"},
 		{Kind: KindKPTI, CPU: "12400F"},
@@ -19,7 +16,21 @@ func coldBuildSpecs(tb testing.TB) []JobSpec {
 		{Kind: KindUserScan, CPU: "1065G7"},
 		{Kind: KindUserScan, CPU: "1065G7", SGX: true},
 		{Kind: KindDefenseEval, CPU: "12400F", Defense: DefenseFLARE},
-	}
+	})
+}
+
+// temporalBuildSpecs is the two temporal specs of DefaultMix, normalized:
+// their builds add the module reconnaissance to boot and calibration.
+func temporalBuildSpecs(tb testing.TB) []JobSpec {
+	return seededSpecs(tb, []JobSpec{
+		{Kind: KindBehaviorSpy, CPU: "1065G7", DurationSec: 10},
+		{Kind: KindAppFingerprint, CPU: "1065G7", App: "fps-game"},
+	})
+}
+
+// seededSpecs gives spec i the seed 1+i and normalizes it.
+func seededSpecs(tb testing.TB, raw []JobSpec) []JobSpec {
+	tb.Helper()
 	specs := make([]JobSpec, len(raw))
 	for i, spec := range raw {
 		spec.Seed = uint64(1 + i)
@@ -46,7 +57,7 @@ func TestColdBuildAllocs(t *testing.T) {
 	var total float64
 	for _, spec := range specs {
 		total += testing.AllocsPerRun(3, func() {
-			if _, err := buildSession(spec, core.Calibration{}, false, nil); err != nil {
+			if _, err := buildSession(spec, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -56,9 +67,12 @@ func TestColdBuildAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSessionBuild times one cold session build per spatial spec:
-// boot plus calibration, the work behind an acquire that misses both the
-// session and the calibration cache.
+// BenchmarkSessionBuild times one session build per spec. Each spatial
+// spec builds cold: boot plus calibration, the work behind an acquire
+// that misses both the session and the build record. Each temporal spec
+// builds cold (boot, calibration and the module reconnaissance) and
+// replayed from its cache record (boot and the adoption of the recorded
+// state), the two builds behind a temporal session-cache miss.
 func BenchmarkSessionBuild(b *testing.B) {
 	for _, spec := range coldBuildSpecs(b) {
 		name := string(spec.Kind) + "/" + spec.CPU
@@ -68,13 +82,25 @@ func BenchmarkSessionBuild(b *testing.B) {
 		if spec.Defense != "" {
 			name += "/" + string(spec.Defense)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := buildSession(spec, core.Calibration{}, false, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(name, func(b *testing.B) { benchBuild(b, spec, nil) })
+	}
+	for _, spec := range temporalBuildSpecs(b) {
+		cold, err := buildSession(spec, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := cold.record()
+		name := string(spec.Kind) + "/" + spec.CPU
+		b.Run(name+"/cold", func(b *testing.B) { benchBuild(b, spec, nil) })
+		b.Run(name+"/replayed", func(b *testing.B) { benchBuild(b, spec, rec) })
+	}
+}
+
+func benchBuild(b *testing.B, spec JobSpec, rec *buildRecord) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := buildSession(spec, rec, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

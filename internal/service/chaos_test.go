@@ -211,7 +211,7 @@ func TestFailedTemporalAttemptKeepsTimeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := buildSession(spec, core.Calibration{}, false, nil)
+		sess, err := buildSession(spec, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestFailedTemporalAttemptKeepsTimeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := buildSession(spec, core.Calibration{}, false, nil)
+		fresh, err := buildSession(spec, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

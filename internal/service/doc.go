@@ -37,11 +37,15 @@
 //     share the session machine's user frames copy-on-write, so the
 //     restore before a job and the checkpoint after it cost a pointer per
 //     written frame, not a copy of the frames.
-//   - Calibrations: the first session for a victim configuration records
-//     its thresholds and post-calibration execution state
-//     (core.Calibration); later sessions for the same configuration boot
-//     the victim and skip straight past calibration via
-//     core.NewProberFromCalibration, bit-identically.
+//   - Build records: the first session for a victim configuration records
+//     its thresholds and its post-build execution state (core.Calibration)
+//     and, for the temporal kinds, the module regions its reconnaissance
+//     detected. Later sessions for the same configuration boot the victim
+//     and adopt the record via core.NewProberFromCalibration, skipping
+//     calibration and the reconnaissance alike: a rebuilt session starts in
+//     exactly the state of a cold build, bit-identically, so a temporal
+//     session dropped from the cache restarts its timeline at t=0 with the
+//     window its first build observed.
 //
 // The victim key that governs both caches is defense-aware: the boot-time
 // defense configuration (FLARE dummy mappings, FGKASLR) is part of every
@@ -100,8 +104,8 @@
 //     goroutine, surfaced as ErrPanicked (transient), and its session is
 //     quarantined — one poisoned job can never take an executor down.
 //   - Quarantine. A condemned session (panic, corrupt restore, watchdog
-//     abandonment) is dropped at release and never re-adopted. The cached
-//     calibration for its victim key is untouched — it came from a healthy
+//     abandonment) is dropped at release and never re-adopted. The build
+//     record for its victim key is untouched — it came from a healthy
 //     build — so the replacement session boots bit-identically.
 //   - Admission control. Config.ShedWatermark (off by default) sheds
 //     submissions with ErrOverloaded while the queue still has headroom;

@@ -35,11 +35,14 @@ type kindDef struct {
 	// neither: no session, an empty victim key and no CPU default.
 	victimKey func(s JobSpec) string
 	boot      func(v *victim, s JobSpec) error
-	// initTemporal prepares a stateful session from the module
-	// reconnaissance (nil for stateless kinds). After each successful job
-	// on a stateful session, the session advances to the end of the job's
-	// window and re-snapshots, so the next job continues the timeline.
-	initTemporal func(sess *session, s JobSpec, located core.ModulesResult) error
+	// initTemporal prepares a stateful session from the module regions its
+	// build detected or adopted (sess.regions; nil for stateless kinds). It
+	// runs on the host only: it must not touch the machine, since a build
+	// that adopts a record must end in the recorded state. After each
+	// successful job on a stateful session, the session advances to the
+	// end of the job's window and re-snapshots, so the next job continues
+	// the timeline.
+	initTemporal func(sess *session, s JobSpec) error
 	// run executes one job on its restored session (nil for cloud) and
 	// returns the kind's payload; the caller stamps Result.Kind.
 	run func(sess *session, s JobSpec, opt core.Options) (*Result, error)
@@ -408,8 +411,8 @@ func normalizeTick(s *JobSpec) error {
 
 // initSpy locates the watched modules and derives the victim's day from
 // the spec (spyTimelines).
-func initSpy(sess *session, s JobSpec, located core.ModulesResult) error {
-	targets, err := core.LocateTargets(located, s.Targets...)
+func initSpy(sess *session, s JobSpec) error {
+	targets, err := core.LocateTargets(core.ModulesResult{Regions: sess.regions}, s.Targets...)
 	if err != nil {
 		return err
 	}
@@ -509,9 +512,9 @@ func normalizeAppFingerprint(s *JobSpec) error {
 // initAppFingerprint watches the union of the profile population's modules
 // — the spy must see which are active AND which are idle to classify — and
 // keeps the victim app's modules active for the whole (unbounded) session.
-func initAppFingerprint(sess *session, s JobSpec, located core.ModulesResult) error {
+func initAppFingerprint(sess *session, s JobSpec) error {
 	profiles := core.StandardAppProfiles()
-	watch, err := core.LocateWatch(located, profiles)
+	watch, err := core.LocateWatch(core.ModulesResult{Regions: sess.regions}, profiles)
 	if err != nil {
 		return err
 	}

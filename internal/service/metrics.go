@@ -91,9 +91,9 @@ func newMetricsPlane(s *Scheduler) *metricsPlane {
 		func() float64 { return float64(cache.snapshot().SessionMisses) })
 	r.CounterFunc("scand_session_hits_total", "Jobs served from a parked cached session.",
 		func() float64 { return float64(cache.snapshot().SessionHits) })
-	r.CounterFunc("scand_calibrations_reused_total", "Session boots that replayed a cached calibration (calibration-cache hits).",
+	r.CounterFunc("scand_calibrations_reused_total", "Session builds that adopted a cached build record, skipping calibration and any temporal module reconnaissance (build-record hits).",
 		func() float64 { return float64(cache.snapshot().CalibrationHits) })
-	r.CounterFunc("scand_calibrations_run_total", "Session boots that ran Calibrate from scratch (calibration-cache misses).",
+	r.CounterFunc("scand_calibrations_run_total", "Session builds that ran Calibrate from scratch (build-record misses).",
 		func() float64 { return float64(cache.snapshot().CalibrationMisses) })
 	r.CounterFunc("scand_sessions_quarantined_total", "Sessions condemned and dropped.",
 		func() float64 { return float64(cache.snapshot().Quarantined) })

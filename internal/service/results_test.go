@@ -20,9 +20,13 @@ var updateResults = flag.Bool("update-results", false, "rewrite testdata/results
 //
 // One executor runs the jobs in submission order. Each pass touches more
 // victim keys than the 16 sessions the idle cap parks, so which sessions
-// the cap drops — and so which temporal timelines restart at t=0 in pass
-// 2 — depends on the order jobs finish. With two executors that order is
-// a race; with one it is fixed, and the golden pins its drops.
+// the cap drops depends on the order jobs finish. A dropped temporal
+// session is rebuilt from its cache record in pass 2, and its timeline
+// restarts at t=0 in exactly the state of its cold build in pass 1: such
+// a window must hash the same as its pass-1 line. Which sessions are
+// dropped still decides which pass-2 lines continue their timeline; with
+// two executors that is a race, with one it is fixed, and the golden pins
+// it.
 func resultLines(t *testing.T) string {
 	t.Helper()
 	type item struct {
@@ -49,6 +53,7 @@ func resultLines(t *testing.T) string {
 	s := New(Config{Executors: 1, ScanWorkers: 1, QueueDepth: len(items)})
 	defer s.Drain()
 	var b strings.Builder
+	first := make([][32]byte, len(items)) // pass-1 hash per item
 	for pass := 1; pass <= 2; pass++ {
 		jobs := make([]*Job, len(items))
 		for i, it := range items {
@@ -67,8 +72,15 @@ func resultLines(t *testing.T) string {
 				t.Fatal(err)
 			}
 			it := items[i]
+			sum := sha256.Sum256(payload)
+			if pass == 1 {
+				first[i] = sum
+			} else if err == nil && kindOf(it.spec.Kind).initTemporal != nil && res.WindowStartSec == 0 && sum != first[i] {
+				t.Errorf("%s %s seed=%d: rebuilt session's window at t=0 differs from its cold build's in pass 1",
+					it.name, it.spec.Kind, it.spec.Seed)
+			}
 			fmt.Fprintf(&b, "%s %s seed=%d pass=%d %x\n",
-				it.name, it.spec.Kind, it.spec.Seed, pass, sha256.Sum256(payload))
+				it.name, it.spec.Kind, it.spec.Seed, pass, sum)
 		}
 	}
 	return b.String()

@@ -478,7 +478,7 @@ func (s *Scheduler) attempt(j *Job, key uint64, attempt int, opt core.Options, s
 // quarantine and session release. The deferred cleanup is what makes the
 // guarantees compose: a panic or a corrupt session quarantines (the
 // session is dropped at release, never re-adopted; the next attempt's
-// fresh boot rebuilds it bit-identically via the calibration cache), and a
+// fresh boot rebuilds it bit-identically from the build record), and a
 // body orphaned by the watchdog detects the closed stop channel and
 // quarantines too, since whatever state it reached belongs to an attempt
 // that already failed.

@@ -39,8 +39,8 @@ type session struct {
 	// post-calibration checkpoint for stateless kinds, the end of the
 	// previous window for temporal kinds.
 	state core.SessionState
-	// cachedCal reports the session skipped Calibrate via the calibration
-	// cache.
+	// cachedCal reports the session was built from a cache record: it
+	// skipped Calibrate and, for temporal kinds, the reconnaissance.
 	cachedCal bool
 	// quarantined marks a session the scheduler condemned (panic, corrupt
 	// restore, watchdog abandonment): release drops it instead of parking
@@ -50,26 +50,47 @@ type session struct {
 
 	// Temporal-session state (nil/zero for stateless kinds).
 	//
-	// drv replays the victim's activity timelines; truth holds the ground
-	// truth for scoring; nextT0 is where the next observation window
-	// starts on the victim timeline.
-	drv    *behavior.Driver
-	truth  []*behavior.Timeline
-	spy    *core.BehaviorSpy
-	fp     *core.AppFingerprinter
-	nextT0 float64
+	// regions are the module regions the reconnaissance detected, shared
+	// read-only with the cache record; drv replays the victim's activity
+	// timelines; truth holds the ground truth for scoring; nextT0 is where
+	// the next observation window starts on the victim timeline.
+	regions []core.DetectedRegion
+	drv     *behavior.Driver
+	truth   []*behavior.Timeline
+	spy     *core.BehaviorSpy
+	fp      *core.AppFingerprinter
+	nextT0  float64
 }
 
-// sessionCache pools sessions per victim key and caches calibrations so a
-// fresh session for a known victim configuration skips threshold
-// calibration entirely (bit-identically — see core.NewProberFromCalibration).
+// buildRecord is what the first build for a victim key leaves for every
+// later build of that key: the calibration, whose state is the post-build
+// state, and for temporal kinds the module regions the reconnaissance
+// detected. A build that adopts the record skips Calibrate and the
+// reconnaissance and starts from exactly the state the recorded build
+// ended in (see core.NewProberFromCalibration). A record never changes
+// once cached; concurrent builds share its regions read-only.
+type buildRecord struct {
+	cal     core.Calibration
+	regions []core.DetectedRegion
+}
+
+// record exports the session's build record. Call it right after the
+// build, before any job has moved the session's state.
+func (s *session) record() *buildRecord {
+	return &buildRecord{cal: s.p.CalibrationSnapshot(), regions: s.regions}
+}
+
+// sessionCache pools sessions per victim key and keeps one build record
+// per key, so a fresh session for a known victim configuration skips
+// threshold calibration and the temporal reconnaissance entirely
+// (bit-identically — see core.NewProberFromCalibration).
 type sessionCache struct {
-	mu   sync.Mutex
-	free map[string][]*session
-	cals map[string]core.Calibration
+	mu      sync.Mutex
+	free    map[string][]*session
+	records map[string]*buildRecord
 	// made counts sessions ever built (cache misses); hits counts
-	// acquisitions served from a parked session; calHits counts
-	// calibrations skipped; quarantined counts sessions condemned and
+	// acquisitions served from a parked session; calHits counts builds
+	// that adopted a record; quarantined counts sessions condemned and
 	// dropped; evicted counts healthy sessions dropped at the idle cap.
 	made        int
 	hits        int
@@ -83,14 +104,14 @@ type sessionCache struct {
 
 func newSessionCache(max int) *sessionCache {
 	return &sessionCache{
-		free: make(map[string][]*session),
-		cals: make(map[string]core.Calibration),
-		max:  max,
+		free:    make(map[string][]*session),
+		records: make(map[string]*buildRecord),
+		max:     max,
 	}
 }
 
 // acquire returns a session for the spec's victim, reusing an idle one
-// when available and building (boot + calibrate-or-replay) otherwise. The
+// when available and building (boot + calibrate-or-adopt) otherwise. The
 // returned flag reports reuse. Callers must release the session after the
 // job. On a cache miss the build draws its boot and calibrate faults from
 // plan (cache hits build nothing, so they draw nothing — the documented
@@ -107,21 +128,21 @@ func (c *sessionCache) acquire(spec JobSpec, plan *fault.Plan) (*session, bool, 
 		c.mu.Unlock()
 		return s, true, nil
 	}
-	cal, haveCal := c.cals[key]
+	rec := c.records[key]
 	c.mu.Unlock()
 
 	// Boot outside the lock: victim construction is the expensive part and
 	// concurrent executors must not serialize on it.
-	s, err := buildSession(spec, cal, haveCal, plan)
+	s, err := buildSession(spec, rec, plan)
 	if err != nil {
 		return nil, false, err
 	}
 	c.mu.Lock()
 	c.made++
-	if haveCal {
+	if rec != nil {
 		c.calHits++
-	} else if _, ok := c.cals[key]; !ok {
-		c.cals[key] = s.p.CalibrationSnapshot()
+	} else if _, ok := c.records[key]; !ok {
+		c.records[key] = s.record()
 	}
 	c.mu.Unlock()
 	return s, false, nil
@@ -140,16 +161,16 @@ func (c *sessionCache) release(s *session) {
 	}
 	if c.max > 0 && c.idle >= c.max {
 		c.evicted++
-		return // drop; the calibration cache still covers the next boot
+		return // drop; the build record still covers the next boot
 	}
 	c.free[s.key] = append(c.free[s.key], s)
 	c.idle++
 }
 
 // quarantine condemns a session: it will be dropped at release instead of
-// parked, and can never be adopted by another job. The cached calibration
-// for its victim key is untouched — it was taken from a healthy build, and
-// it is what makes the replacement boot bit-identical. Nil-safe (cloud
+// parked, and can never be adopted by another job. The build record for
+// its victim key is untouched — it was taken from a healthy build, and it
+// is what makes the replacement boot bit-identical. Nil-safe (cloud
 // attempts have no session).
 func (c *sessionCache) quarantine(s *session) {
 	if s == nil {
@@ -163,17 +184,18 @@ func (c *sessionCache) quarantine(s *session) {
 	c.mu.Unlock()
 }
 
-// cacheStats is the full session/calibration-cache effectiveness snapshot:
-// the hit/miss/evict counters the per-instance /metrics series and /stats
-// expose (a session hit reuses a parked session wholesale; a calibration
-// hit is a fresh boot that skipped Calibrate via the cached thresholds).
+// cacheStats is the full session/build-record cache effectiveness
+// snapshot: the hit/miss/evict counters the per-instance /metrics series
+// and /stats expose (a session hit reuses a parked session wholesale; a
+// calibration hit is a fresh boot that adopted the victim's build record,
+// skipping Calibrate and any temporal reconnaissance).
 type cacheStats struct {
 	// SessionHits counts acquisitions served from a parked session;
 	// SessionMisses counts acquisitions that had to build (equal to
 	// sessions made).
 	SessionHits   int
 	SessionMisses int
-	// CalibrationHits counts builds that replayed a cached calibration;
+	// CalibrationHits counts builds that adopted a build record;
 	// CalibrationMisses counts builds that ran Calibrate from scratch.
 	CalibrationHits   int
 	CalibrationMisses int
@@ -198,13 +220,13 @@ func (c *sessionCache) snapshot() cacheStats {
 }
 
 // buildSession boots the spec's victim and produces a calibrated prober —
-// via the cached calibration when one is supplied, via core.NewProber
-// otherwise — then runs a stateful kind's session init. plan is installed
-// on the machine for the build's duration: the boot site fires right
-// after machine construction and the calibrate site inside
-// core.Calibrate. It is cleared before the session is returned — parked
-// sessions carry no plan; job attempts install their own.
-func buildSession(spec JobSpec, cal core.Calibration, haveCal bool, plan *fault.Plan) (*session, error) {
+// by adopting rec when one is supplied, via core.NewProber otherwise —
+// then runs a stateful kind's session init. plan is installed on the
+// machine for the build's duration: the boot site fires right after
+// machine construction and the calibrate site inside core.Calibrate. It
+// is cleared before the session is returned — parked sessions carry no
+// plan; job attempts install their own.
+func buildSession(spec JobSpec, rec *buildRecord, plan *fault.Plan) (*session, error) {
 	def := kindOf(spec.Kind)
 	if def == nil || def.boot == nil {
 		return nil, fmt.Errorf("service: kind %q does not use sessions", spec.Kind)
@@ -225,31 +247,36 @@ func buildSession(spec JobSpec, cal core.Calibration, haveCal bool, plan *fault.
 	}
 
 	s := &session{key: spec.victimKey(), victim: v}
-	if haveCal {
-		s.p = core.NewProberFromCalibration(m, core.Options{}, cal)
+	if rec != nil {
+		// The recorded state is the end of the recorded build, so it
+		// already holds a temporal kind's reconnaissance: only the
+		// host-side init below runs again.
+		s.p = core.NewProberFromCalibration(m, core.Options{}, rec.cal)
 		s.cachedCal = true
-		// Re-checkpoint on this machine: the adopted state's page-table
-		// mutation counters belong to the calibrated original, and the
-		// session's per-job Restore verifies them against *this* boot.
-		s.state = s.p.Checkpoint()
+		s.regions = rec.regions
 	} else {
 		p, err := core.NewProber(m, core.Options{})
 		if err != nil {
 			return nil, err
 		}
 		s.p = p
-		s.state = p.Checkpoint()
+		if def.initTemporal != nil {
+			// A stateful session locates the watched modules with the
+			// module attack: the reconnaissance a real spy runs once per
+			// victim, and that later builds of this victim replay from
+			// the cache record.
+			s.regions = core.Modules(p, core.SizeTable(s.kernel.ProcModules())).Regions
+		}
 	}
 	if def.initTemporal != nil {
-		// A stateful session locates the watched modules with the module
-		// attack (the reconnaissance a real spy runs once per victim), and
-		// snapshots at timeline position 0 — the state the first window
-		// restores.
-		located := core.Modules(s.p, core.SizeTable(s.kernel.ProcModules()))
-		if err := def.initTemporal(s, spec, located); err != nil {
+		if err := def.initTemporal(s, spec); err != nil {
 			return nil, err
 		}
-		s.state = s.p.Checkpoint()
 	}
+	// Checkpoint on this machine: the state every first job restores (for
+	// temporal kinds, timeline position 0). An adopted record's page-table
+	// mutation counters belong to the recorded original, and the session's
+	// per-job Restore verifies them against *this* boot.
+	s.state = s.p.Checkpoint()
 	return s, nil
 }

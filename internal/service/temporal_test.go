@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -306,7 +308,7 @@ func TestSnapshotMutateRestoreRerunPerKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, _, err := buildSessionForTest(spec)
+		sess, err := buildSession(spec, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,11 +335,11 @@ func TestSnapshotMutateRestoreRerunPerKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clean, _, err := buildSessionForTest(spec)
+		clean, err := buildSession(spec, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		churned, _, err := buildSessionForTest(spec)
+		churned, err := buildSession(spec, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,11 +360,54 @@ func TestSnapshotMutateRestoreRerunPerKind(t *testing.T) {
 	}
 }
 
-// buildSessionForTest builds a session without the cache (no cached
-// calibration).
-func buildSessionForTest(spec JobSpec) (*session, bool, error) {
-	s, err := buildSession(spec, core.Calibration{}, false, nil)
-	return s, false, err
+// A temporal session built from its victim's cache record is the session
+// a cold build makes: the record holds the end of the cold build, module
+// reconnaissance included, so the rebuild starts on the same clock, runs
+// no sweep of its own and observes a byte-identical first window.
+func TestTemporalRebuildMatchesColdBuild(t *testing.T) {
+	for _, raw := range []JobSpec{
+		{Kind: KindBehaviorSpy, CPU: "1065G7", DurationSec: 10},
+		{Kind: KindAppFingerprint, CPU: "1065G7", App: "fps-game"},
+	} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			raw.Seed = seed
+			spec, err := raw.normalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := buildSession(spec, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuilt, err := buildSession(spec, cold.record(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rebuilt.m.RDTSC(), cold.m.RDTSC(); got != want {
+				t.Errorf("%s seed=%d: rebuilt session starts at RDTSC %d, cold build at %d", spec.Kind, seed, got, want)
+			}
+			// The counter bank carries every probe since boot: a rebuild
+			// that swept the modules again counts that sweep twice.
+			if rebuilt.m.Counters != cold.m.Counters {
+				t.Errorf("%s seed=%d: rebuild probed during its build\nrebuilt: %+v\ncold:    %+v",
+					spec.Kind, seed, rebuilt.m.Counters, cold.m.Counters)
+			}
+			var windows [2][]byte
+			for i, sess := range []*session{cold, rebuilt} {
+				res, err := execute(sess, spec, core.Options{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if windows[i], err = json.Marshal(res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(windows[0], windows[1]) {
+				t.Errorf("%s seed=%d: rebuilt first window differs from the cold build's\ncold:    %s\nrebuilt: %s",
+					spec.Kind, seed, windows[0], windows[1])
+			}
+		}
+	}
 }
 
 // Concurrent stateful sessions must not race: several victims' spy and
