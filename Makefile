@@ -18,8 +18,12 @@
 #                    benchmark or its b.Fatal guard cannot rot unseen
 #   make examples  - run every examples/* program; fails on a non-zero exit
 #                    (appspy exits 1 unless it classifies every profile)
+#   make fuzz-smoke - run each differential/round-trip fuzz target for
+#                    FUZZTIME (10s) beyond its seed corpus: the TLB/PSC and
+#                    PTE-line caches against their reference models, and
+#                    the machine snapshot round trip
 #   make ci        - what CI runs: vet + tier-1 + test-race + bench-check +
-#                    examples + bench-test + bench-smoke
+#                    examples + bench-test + bench-smoke + fuzz-smoke
 #   make bench     - the Go micro-benchmarks under internal/ (machine ops,
 #                    the per-VA and batched probes, scan sweeps, the
 #                    defense matrix through the scheduler, one cold
@@ -33,11 +37,13 @@ GO ?= go
 
 BENCH_WORKLOADS = spatial-hot spatial-cold mixed-zipf temporal-stateful
 
-.PHONY: all vet test test-race bench-check examples bench-test bench-smoke ci bench
+FUZZTIME ?= 10s
+
+.PHONY: all vet test test-race bench-check examples bench-test bench-smoke fuzz-smoke ci bench
 
 all: vet test
 
-ci: vet test test-race bench-check examples bench-test bench-smoke
+ci: vet test test-race bench-check examples bench-test bench-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -67,6 +73,12 @@ bench-smoke:
 	set -e; for w in $(BENCH_WORKLOADS); do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0; \
 	done
+
+# go test -fuzz takes one target in one package per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzTLBPSCMatchReference$$' -fuzztime $(FUZZTIME) ./internal/tlb
+	$(GO) test -run '^$$' -fuzz '^FuzzMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/ptecache
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/machine
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...

@@ -20,6 +20,7 @@ package avx
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/paging"
 )
@@ -87,8 +88,10 @@ func MaskedStore(addr paging.VirtAddr, mask Mask) Op {
 	return Op{Store: true, Width: YMM, Elem: Elem32, Addr: addr, Mask: mask}
 }
 
-// NumElems returns the number of vector elements the op carries.
-func (o Op) NumElems() int { return int(o.Width) / int(o.Elem) }
+// NumElems returns the number of vector elements the op carries. Element
+// widths are powers of two, so a shift does the division (a divide by a
+// variable is a noticeable share of a zero-mask probe's host cost).
+func (o Op) NumElems() int { return int(o.Width) >> bits.TrailingZeros(uint(o.Elem)) }
 
 // ElemAddr returns the address of element i.
 func (o Op) ElemAddr(i int) paging.VirtAddr {

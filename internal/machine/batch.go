@@ -8,12 +8,33 @@ import (
 // This file is the probe surface of the machine that every core probe goes
 // through: a prober hands a slice of masked ops down here — a whole scan
 // chunk, or one op for a per-VA probe — and gets back one timed sample per
-// measured execution. The ops execute strictly in slice order through
-// ExecMasked, and each measured execution becomes a sample through the same
-// measured step as Measure, so a batch is bit-identical to the equivalent
-// one-op-at-a-time Measure loop at any batch boundary: batching buys host
-// time (op plumbing and scratch reuse are paid once per batch), never
-// different results.
+// measured execution.
+//
+// The batch ≡ loop contract: the ops execute strictly in slice order
+// through ExecMasked's executor, and each measured execution becomes a
+// sample through the same measured step as Measure, so a batch leaves
+// every sample, clock tick, noise draw, performance counter, TLB, PSC and
+// PTE-line entry, LRU stamp and cache clock exactly as the equivalent
+// one-op-at-a-time ExecMasked/Measure loop does, at any batch boundary.
+// Batching buys host time, never different results:
+//
+//   - Op plumbing and scratch reuse are paid once per batch, and each
+//     execution writes its result in place.
+//   - The repeat-probe rule. Between two executions of the same op, a
+//     batch runs only the measured step (noise and clock) or, in
+//     MeasureEvictedBatch, the op's targeted eviction. Neither adds a TLB
+//     entry or changes a page table: the eviction only removes entries.
+//     So if the first execution was of a single page whose translation
+//     missed both TLB levels and installed nothing, the lookup of the
+//     second must miss too, and its walk must read what the first read.
+//     The executor is told so (exec's again); it then ticks the TLB
+//     clocks exactly as the missing lookup would and reuses the walk. The
+//     paging-structure-cache lookup and fill, the PTE-line touches and
+//     their costs depend on state the first execution changed, so they
+//     are redone as normal.
+//
+// TestMeasureBatchMatchesLoop and TestMeasureEvictedBatchMatchesLoop hold
+// both batches to the loop, snapshot for snapshot.
 
 // MeasureBatch runs the double-execution probe sequence for every op in
 // ops: warmups unmeasured executions, then samples measured executions
@@ -28,13 +49,14 @@ import (
 //	for w := 0; w < warmups; w++ { m.ExecMasked(op) }
 //	for s := 0; s < samples; s++ { m.Measure(op) }
 func (m *Machine) MeasureBatch(ops []avx.Op, warmups, samples int, out []float64) (faults int) {
+	var r Result
 	oi := 0
 	for _, op := range ops {
 		for w := 0; w < warmups; w++ {
-			m.ExecMasked(op)
+			m.exec(op, &r, w > 0)
 		}
 		for s := 0; s < samples; s++ {
-			r := m.ExecMasked(op)
+			m.exec(op, &r, warmups+s > 0)
 			if r.Faulted {
 				faults++
 			}
@@ -65,17 +87,14 @@ func (m *Machine) MeasureBatch(ops []avx.Op, warmups, samples int, out []float64
 // one walk's frame list serves all of a VA's samples; only its eviction
 // side effects and attacker cost repeat per sample.
 func (m *Machine) MeasureEvictedBatch(ops []avx.Op, samples int, out []float64) (faults int) {
+	var r Result
 	oi := 0
 	for _, op := range ops {
-		// The eviction walk, hoisted: EvictTranslation re-walks per call,
-		// but within one scan the walk result cannot change. A dedicated
-		// scratch buffer keeps ExecMasked's own translations (which share
-		// m.visitBuf) from clobbering the hoisted frame list mid-loop.
-		w := m.UserAS.Translate(paging.PageBase(op.Addr, paging.Page4K), m.evictBuf)
-		m.evictBuf = w.Visited
+		w := &m.evictWalk
+		m.UserAS.TranslateTo(paging.PageBase(op.Addr, paging.Page4K), w)
 		for s := 0; s < samples; s++ {
 			m.evictWalkLines(op.Addr, w.Visited)
-			r := m.ExecMasked(op)
+			m.exec(op, &r, s > 0)
 			if r.Faulted {
 				faults++
 			}

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/avx"
@@ -22,101 +24,188 @@ func testOps(n int) []avx.Op {
 	return ops
 }
 
-// MeasureBatch must be bit-identical to the equivalent per-op
-// ExecMasked/Measure loop: same measurements, same clock, same counters.
-func TestMeasureBatchMatchesLoop(t *testing.T) {
-	build := func() *Machine {
-		m := New(uarch.IceLake1065G7(), 33)
-		if err := m.MapUser(0x7e0000000000, 16*paging.Page4K, paging.Writable); err != nil {
-			t.Fatal(err)
-		}
-		return m
+// batchConfig is one machine shape the batch ≡ loop tests cover.
+type batchConfig struct {
+	name    string
+	preset  func() *uarch.Preset
+	kpti    bool // separate kernel and user page tables
+	enclave bool
+	noPSC   bool
+}
+
+var batchConfigs = []batchConfig{
+	{name: "intel", preset: uarch.IceLake1065G7},
+	{name: "amd", preset: uarch.Zen3_5600X}, // no TLB fill for supervisor pages
+	{name: "kpti", preset: uarch.AlderLake12400F, kpti: true},
+	{name: "enclave", preset: uarch.IceLake1065G7, enclave: true},
+	{name: "no-psc", preset: uarch.AlderLake12400F, noPSC: true},
+}
+
+const (
+	batchUser   = paging.VirtAddr(0x7e0000000000)
+	batchKernel = paging.VirtAddr(0xffffffff81000000)
+	batchHuge   = paging.VirtAddr(0xffffffff82000000)
+)
+
+// build boots a small victim image for c: 16 writable user pages, 8 global
+// supervisor 4 KiB pages, one supervisor 2 MiB page and, with KPTI, a user
+// view that maps only the user pages.
+func (c batchConfig) build(t *testing.T) *Machine {
+	t.Helper()
+	m := New(c.preset(), 33)
+	kernel := m.KernelAS
+	if c.kpti {
+		kernel = paging.NewAddressSpace(m.Alloc)
+		m.InstallAddressSpaces(kernel, paging.NewAddressSpace(m.Alloc))
 	}
-	const n = 64
-	const samples = 3
-	ops := testOps(n)
+	if err := m.MapUser(batchUser, 16*paging.Page4K, paging.Writable); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kernel.MapRange(batchKernel, 8*paging.Page4K, paging.Page4K, paging.Writable|paging.Global); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kernel.MapRange(batchHuge, paging.Page2M, paging.Page2M, paging.Writable); err != nil {
+		t.Fatal(err)
+	}
+	m.InEnclave = c.enclave
+	m.PSC.Enabled = !c.noPSC
+	m.SetVector([8]uint32{1, 2, 3, 4, 5, 6, 7, 8})
+	return m
+}
 
-	loopM := build()
-	want := make([]float64, 0, n*samples)
-	wantFaults := 0
-	for _, op := range ops {
-		loopM.ExecMasked(op)
-		for s := 0; s < samples; s++ {
-			v, r := loopM.Measure(op)
-			if r.Faulted {
-				wantFaults++
-			}
-			want = append(want, v)
+// batchTestOps builds a seeded mix of loads and stores with zero, partial
+// and full masks over mapped and unmapped user pages, mapped and unmapped
+// supervisor pages, the 2 MiB page, and ops that straddle two pages.
+func batchTestOps(n int) []avx.Op {
+	r := rng.New(0xba7c)
+	ops := make([]avx.Op, n)
+	for i := range ops {
+		var va paging.VirtAddr
+		switch r.Intn(6) {
+		case 0, 1:
+			va = batchUser + paging.VirtAddr(r.Intn(20))*paging.Page4K // 4 unmapped
+		case 2:
+			va = batchKernel + paging.VirtAddr(r.Intn(12))*paging.Page4K // 4 unmapped
+		case 3:
+			va = batchHuge + paging.VirtAddr(r.Intn(512))*paging.Page4K
+		case 4:
+			va = batchUser + paging.VirtAddr(r.Intn(16))*paging.Page4K + 0xff0 // straddles
+		case 5:
+			va = 0xffffffffc0000000 + paging.VirtAddr(r.Intn(64))*paging.Page4K // unmapped
+		}
+		var mask avx.Mask
+		switch r.Intn(4) {
+		case 0:
+			mask = avx.AllMask(8)
+		case 1:
+			mask = avx.Mask(r.Intn(256))
+		}
+		if r.Intn(3) == 0 {
+			ops[i] = avx.MaskedStore(va, mask)
+		} else {
+			ops[i] = avx.MaskedLoad(va, mask)
 		}
 	}
+	return ops
+}
 
-	batchM := build()
-	got := make([]float64, n*samples)
-	gotFaults := batchM.MeasureBatch(ops, 1, samples, got)
+// sameMachineState fails unless the two machines are in the same state:
+// clock, counters and every part of a Snapshot — TLB, PSC and PTE-line
+// contents with their LRU stamps and clocks, the noise stream and the
+// write shadow.
+func sameMachineState(t *testing.T, what string, loop, batch *Machine) {
+	t.Helper()
+	if loop.RDTSC() != batch.RDTSC() {
+		t.Fatalf("%s: clocks differ: loop %d, batch %d", what, loop.RDTSC(), batch.RDTSC())
+	}
+	if loop.Counters != batch.Counters {
+		t.Fatalf("%s: performance counters differ between loop and batch", what)
+	}
+	if !reflect.DeepEqual(loop.Snapshot(), batch.Snapshot()) {
+		t.Fatalf("%s: snapshots differ between loop and batch", what)
+	}
+}
 
+// sameSamples fails unless the loop's samples and fault count equal the
+// batch's.
+func sameSamples(t *testing.T, what string, want, got []float64, wantFaults, gotFaults int) {
+	t.Helper()
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("measurement %d differs: loop %v, batch %v", i, want[i], got[i])
+			t.Fatalf("%s: measurement %d differs: loop %v, batch %v", what, i, want[i], got[i])
 		}
 	}
 	if wantFaults != gotFaults {
-		t.Fatalf("fault counts differ: loop %d, batch %d", wantFaults, gotFaults)
+		t.Fatalf("%s: fault counts differ: loop %d, batch %d", what, wantFaults, gotFaults)
 	}
-	if loopM.RDTSC() != batchM.RDTSC() {
-		t.Fatalf("clocks differ: loop %d, batch %d", loopM.RDTSC(), batchM.RDTSC())
-	}
-	if loopM.Counters != batchM.Counters {
-		t.Fatal("performance counters differ between loop and batch")
+}
+
+// MeasureBatch must be bit-identical to the equivalent per-op
+// ExecMasked/Measure loop: same measurements, same clock, same counters
+// and the same translation-cache state, LRU stamps and clocks included.
+func TestMeasureBatchMatchesLoop(t *testing.T) {
+	ops := batchTestOps(96)
+	for _, c := range batchConfigs {
+		for warmups := 0; warmups <= 2; warmups++ {
+			for samples := 1; samples <= 3; samples++ {
+				what := fmt.Sprintf("%s warmups=%d samples=%d", c.name, warmups, samples)
+				loopM := c.build(t)
+				var want []float64
+				wantFaults := 0
+				for _, op := range ops {
+					for w := 0; w < warmups; w++ {
+						loopM.ExecMasked(op)
+					}
+					for s := 0; s < samples; s++ {
+						v, r := loopM.Measure(op)
+						if r.Faulted {
+							wantFaults++
+						}
+						want = append(want, v)
+					}
+				}
+
+				batchM := c.build(t)
+				got := make([]float64, len(ops)*samples)
+				gotFaults := batchM.MeasureBatch(ops, warmups, samples, got)
+
+				sameSamples(t, what, want, got, wantFaults, gotFaults)
+				sameMachineState(t, what, loopM, batchM)
+			}
+		}
 	}
 }
 
 // MeasureEvictedBatch must be bit-identical to the per-VA targeted-eviction
 // loop of the AMD term-level attack: same measurements, same fault count,
-// same clock, same counters — the hoisted eviction walk must change
-// nothing observable.
+// same clock, same counters and the same translation-cache state — the
+// hoisted eviction walk must change nothing observable.
 func TestMeasureEvictedBatchMatchesLoop(t *testing.T) {
-	build := func() *Machine {
-		m := New(uarch.Zen3_5600X(), 77)
-		if err := m.MapUser(0x7e0000000000, 16*paging.Page4K, paging.Writable); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	const n = 48
-	const samples = 4
-	ops := testOps(n)
-
-	loopM := build()
-	want := make([]float64, 0, n*samples)
-	wantFaults := 0
-	for _, op := range ops {
-		for s := 0; s < samples; s++ {
-			loopM.EvictTranslation(op.Addr)
-			v, r := loopM.Measure(op)
-			if r.Faulted {
-				wantFaults++
+	ops := batchTestOps(64)
+	for _, c := range batchConfigs {
+		for samples := 1; samples <= 4; samples++ {
+			what := fmt.Sprintf("%s samples=%d", c.name, samples)
+			loopM := c.build(t)
+			var want []float64
+			wantFaults := 0
+			for _, op := range ops {
+				for s := 0; s < samples; s++ {
+					loopM.EvictTranslation(op.Addr)
+					v, r := loopM.Measure(op)
+					if r.Faulted {
+						wantFaults++
+					}
+					want = append(want, v)
+				}
 			}
-			want = append(want, v)
-		}
-	}
 
-	batchM := build()
-	got := make([]float64, n*samples)
-	gotFaults := batchM.MeasureEvictedBatch(ops, samples, got)
+			batchM := c.build(t)
+			got := make([]float64, len(ops)*samples)
+			gotFaults := batchM.MeasureEvictedBatch(ops, samples, got)
 
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("measurement %d differs: loop %v, batch %v", i, want[i], got[i])
+			sameSamples(t, what, want, got, wantFaults, gotFaults)
+			sameMachineState(t, what, loopM, batchM)
 		}
-	}
-	if wantFaults != gotFaults {
-		t.Fatalf("fault counts differ: loop %d, batch %d", wantFaults, gotFaults)
-	}
-	if loopM.RDTSC() != batchM.RDTSC() {
-		t.Fatalf("clocks differ: loop %d, batch %d", loopM.RDTSC(), batchM.RDTSC())
-	}
-	if loopM.Counters != batchM.Counters {
-		t.Fatal("performance counters differ between loop and batch")
 	}
 }
 

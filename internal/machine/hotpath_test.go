@@ -216,7 +216,7 @@ func TestResetTranslationState(t *testing.T) {
 func fillTranslationCaches(m *Machine) (tlbEntries, pscEntries, lines int) {
 	for i := 0; i < 2048; i++ { // consecutive pages cover every TLB set
 		va := paging.VirtAddr(0x7e0000000000 + uint64(i)*paging.Page4K)
-		m.TLB.Fill(va, paging.Walk{VA: va, Mapped: true, Flags: paging.Present | paging.User,
+		m.TLB.Fill(va, &paging.Walk{VA: va, Mapped: true, Flags: paging.Present | paging.User,
 			Size: paging.Page4K, PFN: phys.PFN(i), TermLevel: paging.LevelPT}, 1)
 	}
 	for i := uint64(0); i < 64; i++ { // distinct tags in every PSC set

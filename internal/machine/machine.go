@@ -83,10 +83,9 @@ type Machine struct {
 	frames []userFrame
 
 	visitBuf []phys.PFN
-	// evictBuf backs the hoisted eviction walk of MeasureEvictedBatch; it
-	// must be distinct from visitBuf because ExecMasked's own translations
-	// reuse visitBuf between the batch's samples.
-	evictBuf []phys.PFN
+	// evictWalk is the hoisted eviction walk of MeasureEvictedBatch, held
+	// across a VA's samples while ExecMasked walks into its own scratch.
+	evictWalk paging.Walk
 	// touchBuf backs KernelTouch's victim-side walks. Victim events replayed
 	// between attacker probes (behavior.Driver.ReplayWindow fires hundreds
 	// per spy window) must not share visitBuf: the walk scratch is owned by
@@ -96,16 +95,22 @@ type Machine struct {
 	elemBuf  [8]uint32
 
 	// Per-call scratch state of ExecMasked: the page translations of the
-	// current op (at most two pages) plus the moved-element buffer, reused
-	// across calls so the probing hot path is allocation-free. stateFn and
-	// dirtyFn are built once (in initHotPath) because constructing a closure
-	// per ExecMasked call would itself allocate.
-	scratchVA [2]paging.VirtAddr
-	scratchPI [2]pageInfo
-	scratchN  int
-	movedBuf  [8]int
-	stateFn   func(paging.VirtAddr) avx.PageState
-	dirtyFn   func(paging.VirtAddr) bool
+	// current op (at most two pages, each walking into its own frames
+	// array) plus the moved-element buffer, reused across calls so the
+	// probing hot path is allocation-free. stateFn and dirtyFn are built
+	// once (in initHotPath) because constructing a closure per ExecMasked
+	// call would itself allocate.
+	scratchVA    [2]paging.VirtAddr
+	scratchPI    [2]pageInfo
+	scratchWalks [2][4]phys.PFN
+	scratchN     int
+	movedBuf     [8]int
+	stateFn      func(paging.VirtAddr) avx.PageState
+	dirtyFn      func(paging.VirtAddr) bool
+	// repeatMiss records that the last execution was of a single page
+	// whose translation missed both TLB levels and filled neither: the
+	// condition of the repeat-probe rule (see exec).
+	repeatMiss bool
 }
 
 // New creates a machine with the given preset and deterministic seed.
@@ -141,6 +146,9 @@ func (m *Machine) Seed() uint64 { return m.seed }
 // once per machine instead of once per instruction (a per-call closure
 // would allocate on every probe).
 func (m *Machine) initHotPath() {
+	for i := range m.scratchPI {
+		m.scratchPI[i].walk.Visited = m.scratchWalks[i][:0]
+	}
 	m.stateFn = func(page paging.VirtAddr) avx.PageState {
 		return walkState(&m.scratchWalk(page).walk)
 	}
@@ -482,48 +490,58 @@ type Result struct {
 
 // pageInfo is the machine-level translation of one page for an access.
 type pageInfo struct {
-	walk    paging.Walk
-	tlbHit  bool
-	hitKind tlb.LookupResult
-	cycles  float64
-	walked  bool
+	walk   paging.Walk
+	cycles float64
+	tlbHit bool
+	walked bool
+	filled bool // the walk's translation was installed in the TLB
 }
 
 // translate resolves va through the TLB or a timed page-table walk on the
-// address space as, charging the preset's costs. Fills the TLB according to
-// vendor rules. asUser marks an access performed while CPL 3 (attacker).
-func (m *Machine) translate(as *paging.AddressSpace, va paging.VirtAddr, asUser bool) pageInfo {
-	var pi pageInfo
-	res, entry := m.TLB.Lookup(va, as.ASID)
-	if res != tlb.Miss {
+// address space as into pi, charging the preset's costs. Fills the TLB
+// according to vendor rules. asUser marks an access performed while CPL 3
+// (attacker).
+//
+// repeat asserts that pi holds the previous translation of va in as, that
+// it missed both TLB levels and filled neither, and that nothing has added
+// a TLB entry or changed a page table since. The lookup then misses again
+// and the walk returns what it returned, so translate ticks the TLB clocks
+// as a missing Lookup would and keeps pi.walk; the paging-structure-cache
+// and PTE-line work, which the previous walk changed, is redone.
+func (m *Machine) translate(as *paging.AddressSpace, va paging.VirtAddr, asUser, repeat bool, pi *pageInfo) {
+	pi.cycles = 0
+	pi.filled = false
+	if repeat {
+		m.TLB.RepeatMiss()
+	} else if res, entry := m.TLB.Lookup(va, as.ASID); res != tlb.Miss {
 		pi.tlbHit = true
-		pi.hitKind = res
+		pi.walked = false
 		if res == tlb.HitL2 {
 			pi.cycles += m.Preset.STLBHitExtra
-		}
-		if res == tlb.HitL1 {
-			m.Counters.Inc(perf.TLBHitL1)
-		} else {
 			m.Counters.Inc(perf.TLBHitL2)
+		} else {
+			m.Counters.Inc(perf.TLBHitL1)
 		}
 		// Synthesize the walk view from the cached entry.
-		pi.walk = paging.Walk{
-			VA:     va,
-			Mapped: true,
-			Flags:  entry.Flags(),
-			Size:   entry.Size(),
-			PFN:    entry.PFN(),
-			Dirty:  entry.Flags().Has(paging.Dirty),
-		}
-		pi.walk.TermLevel = entry.Size().LeafLevel()
-		return pi
+		w := &pi.walk
+		w.VA = va
+		w.Mapped = true
+		w.Flags = entry.Flags()
+		w.Size = entry.Size()
+		w.PFN = entry.PFN()
+		w.Dirty = w.Flags.Has(paging.Dirty)
+		w.TermLevel = w.Size.LeafLevel()
+		w.Visited = w.Visited[:0]
+		return
 	}
 
 	m.Counters.Inc(perf.TLBMiss)
+	pi.tlbHit = false
 	pi.walked = true
-	w := as.Translate(va, m.visitBuf)
-	m.visitBuf = w.Visited
-	pi.walk = w
+	w := &pi.walk
+	if !repeat {
+		as.TranslateTo(va, w)
+	}
 
 	// Paging-structure caches can skip the upper structures.
 	startIdx := 0
@@ -531,10 +549,7 @@ func (m *Machine) translate(as *paging.AddressSpace, va paging.VirtAddr, asUser 
 		m.Counters.Inc(perf.PSCHit)
 		// A PSC hit at level L means structures at and above L are
 		// skipped; the walk resumes at the structure below L.
-		startIdx = int(lvl) // LevelPML4=1 skips Visited[0], etc.
-		if startIdx > len(w.Visited) {
-			startIdx = len(w.Visited)
-		}
+		startIdx = min(int(lvl), len(w.Visited)) // LevelPML4=1 skips Visited[0], etc.
 	}
 	lineMisses := 0
 	for i := startIdx; i < len(w.Visited); i++ {
@@ -550,18 +565,12 @@ func (m *Machine) translate(as *paging.AddressSpace, va paging.VirtAddr, asUser 
 
 	m.PSC.Fill(va, w.TermLevel, w.Mapped, as.ASID)
 
-	if w.Mapped {
-		fill := true
-		if asUser && !w.Flags.Has(paging.User) && !m.Preset.KernelTLBFill {
-			// AMD Zen 3: user-mode probes of supervisor pages do not
-			// install TLB entries (§IV-B).
-			fill = false
-		}
-		if fill {
-			m.TLB.Fill(va, w, as.ASID)
-		}
+	// AMD Zen 3: user-mode probes of supervisor pages do not install TLB
+	// entries (§IV-B).
+	if w.Mapped && (!asUser || w.Flags.Has(paging.User) || m.Preset.KernelTLBFill) {
+		m.TLB.Fill(va, w, as.ASID)
+		pi.filled = true
 	}
-	return pi
 }
 
 // entryIndexAt returns the paging-structure entry index va selects at a
@@ -594,12 +603,26 @@ func walkCounterFor(store bool) perf.Event {
 // on; its latency composition follows §III of the paper.
 func (m *Machine) ExecMasked(op avx.Op) Result {
 	var r Result
+	m.exec(op, &r, false)
+	return r
+}
+
+// exec is ExecMasked writing its result into r: the one executor under
+// ExecMasked, MeasureBatch and MeasureEvictedBatch.
+//
+// again asserts that the previous execution on this machine was of the
+// same op and that nothing has since added a TLB entry or changed a page
+// table (batch.go states when that holds). If that execution was of a
+// single page whose translation missed both TLB levels and filled
+// neither, this one must miss again with the same walk, and translate
+// takes its repeat path.
+func (m *Machine) exec(op avx.Op, r *Result, again bool) {
+	*r = Result{TermLevel: paging.LevelNone}
 	if op.Store {
 		r.Cycles = m.Preset.MaskedStoreBase
 	} else {
 		r.Cycles = m.Preset.MaskedLoadBase
 	}
-	r.TermLevel = paging.LevelNone
 
 	first, last := op.PageSpan()
 	m.scratchVA[0] = first
@@ -608,15 +631,14 @@ func (m *Machine) ExecMasked(op avx.Op) Result {
 		m.scratchVA[1] = last
 		m.scratchN = 2
 	}
+	repeat := again && m.repeatMiss
 	for i := 0; i < m.scratchN; i++ {
-		pi := m.translate(m.UserAS, m.scratchVA[i], true)
-		m.scratchPI[i] = pi
+		pi := &m.scratchPI[i]
+		m.translate(m.UserAS, m.scratchVA[i], true, repeat, pi)
 		r.Cycles += pi.cycles
 		if pi.walked {
 			m.Counters.Inc(walkCounterFor(op.Store))
-			if !r.Walked {
-				r.Walked = true
-			}
+			r.Walked = true
 		}
 		if i == 0 {
 			r.TLBHit = pi.tlbHit
@@ -625,6 +647,8 @@ func (m *Machine) ExecMasked(op avx.Op) Result {
 			}
 		}
 	}
+	pi := &m.scratchPI[0]
+	m.repeatMiss = m.scratchN == 1 && pi.walked && !pi.filled
 
 	if op.Mask == 0 && m.scratchN == 1 {
 		// Fast path for the probing workhorse: an all-suppressed op on a
@@ -633,7 +657,7 @@ func (m *Machine) ExecMasked(op avx.Op) Result {
 		// Evaluate closures) collapses to one page-state check. The
 		// outcome — suppressed-fault count, assist kind, counters, cost —
 		// is exactly what Evaluate+assistCost produce for this shape.
-		if !walkState(&m.scratchPI[0].walk).Accessible(op.Store) {
+		if !walkState(&pi.walk).Accessible(op.Store) {
 			m.Counters.Add(perf.FaultSuppressed, uint64(op.NumElems()))
 			r.Assist = true
 			m.Counters.Inc(perf.AssistsAny)
@@ -664,14 +688,13 @@ func (m *Machine) ExecMasked(op avx.Op) Result {
 		// Perform the architectural data movement and A/D updates for the
 		// elements that actually moved.
 		if !r.Faulted && len(out.MovedElems) > 0 {
-			m.moveData(op, out.MovedElems, &r)
+			m.moveData(op, out.MovedElems, r)
 		}
 	}
 	if m.InEnclave {
 		r.Cycles += m.Preset.SGXProbeOverhead
 	}
 	m.tsc += uint64(r.Cycles)
-	return r
 }
 
 // assistCost decides which assist penalty applies: the dirty-bit assist
@@ -744,7 +767,7 @@ func (m *Machine) moveData(op avx.Op, moved []int, r *Result) {
 			w := m.UserAS.Translate(page, m.visitBuf)
 			m.visitBuf = w.Visited
 			if w.Mapped {
-				m.refreshTLBFlags(page, w)
+				m.refreshTLBFlags(page, &w)
 			}
 			if page == last {
 				break
@@ -754,7 +777,7 @@ func (m *Machine) moveData(op avx.Op, moved []int, r *Result) {
 }
 
 // refreshTLBFlags updates any cached TLB entry's flags after an A/D change.
-func (m *Machine) refreshTLBFlags(page paging.VirtAddr, w paging.Walk) {
+func (m *Machine) refreshTLBFlags(page paging.VirtAddr, w *paging.Walk) {
 	if res, e := m.TLB.Lookup(page, m.UserAS.ASID); res != tlb.Miss {
 		e.SetFlags(w.Flags)
 	}
@@ -884,7 +907,8 @@ func (m *Machine) noiseSample() float64 {
 func (m *Machine) ExecPrefetch(va paging.VirtAddr) Result {
 	var r Result
 	r.Cycles = m.Preset.ScalarBase
-	pi := m.translate(m.UserAS, paging.PageBase(va, paging.Page4K), true)
+	pi := &m.scratchPI[0]
+	m.translate(m.UserAS, paging.PageBase(va, paging.Page4K), true, false, pi)
 	r.Cycles += pi.cycles
 	r.TLBHit = pi.tlbHit
 	r.Walked = pi.walked
@@ -913,7 +937,8 @@ const (
 // transaction; the #PF becomes a transactional abort whose latency depends
 // on the translation outcome. Returns measured abort cycles.
 func (m *Machine) ExecTSXProbe(va paging.VirtAddr) float64 {
-	pi := m.translate(m.UserAS, paging.PageBase(va, paging.Page4K), true)
+	pi := &m.scratchPI[0]
+	m.translate(m.UserAS, paging.PageBase(va, paging.Page4K), true, false, pi)
 	if pi.walked {
 		m.Counters.Inc(perf.WalkCompletedLoad)
 	}
@@ -996,7 +1021,7 @@ func (m *Machine) KernelTouch(vas ...paging.VirtAddr) {
 		if !w.Mapped {
 			continue
 		}
-		m.TLB.Fill(page, w, m.KernelAS.ASID)
+		m.TLB.Fill(page, &w, m.KernelAS.ASID)
 	}
 }
 

@@ -177,9 +177,6 @@ func NewAddressSpace(alloc *phys.Allocator) *AddressSpace {
 	}
 }
 
-// RootPFN returns the physical frame of the PML4 (the CR3 value).
-func (as *AddressSpace) RootPFN() phys.PFN { return as.rootFrame }
-
 func (as *AddressSpace) childOf(t *table, idx int, flags Flags) (*table, error) {
 	e := &t.entries[idx]
 	if e.leaf {
@@ -328,24 +325,6 @@ func (as *AddressSpace) Protect(va VirtAddr, flags Flags) error {
 	return nil
 }
 
-// SetDirty sets (or clears) the Dirty bit of the leaf mapping covering va.
-func (as *AddressSpace) SetDirty(va VirtAddr, dirty bool) error {
-	e, _ := as.lookupLeaf(va)
-	if e == nil {
-		return fmt.Errorf("paging: SetDirty of unmapped address %#x", uint64(va))
-	}
-	old := e.flags
-	if dirty {
-		e.flags |= Dirty
-	} else {
-		e.flags &^= Dirty
-	}
-	if e.flags != old {
-		as.version++
-	}
-	return nil
-}
-
 // Walk is the architectural page-table walk result for one address.
 type Walk struct {
 	VA VirtAddr
@@ -376,45 +355,57 @@ type Walk struct {
 // The visited buffer, if non-nil, is reused for the Visited slice to avoid
 // per-probe allocations on hot probing loops.
 func (as *AddressSpace) Translate(va VirtAddr, visited []phys.PFN) Walk {
-	w := Walk{VA: va, Visited: visited[:0]}
+	w := Walk{Visited: visited}
+	as.TranslateTo(va, &w)
+	return w
+}
+
+// TranslateTo is Translate writing its result into w, whose Visited
+// backing array it reuses: the probing hot path walks into scratch it owns
+// and copies no Walk.
+func (as *AddressSpace) TranslateTo(va VirtAddr, w *Walk) {
+	*w = Walk{VA: va, Visited: w.Visited[:0]}
 	if !Canonical(va) {
 		w.TermLevel = LevelPML4
-		return w
+		return
 	}
 	w.Visited = append(w.Visited, as.rootFrame)
 	e := &as.root.entries[pml4Index(va)]
 	if !e.flags.Has(Present) {
 		w.TermLevel = LevelPML4
-		return w
+		return
 	}
 	w.Visited = append(w.Visited, e.pfn)
 	e = &e.next.entries[pdptIndex(va)]
 	if !e.flags.Has(Present) {
 		w.TermLevel = LevelPDPT
-		return w
+		return
 	}
 	if e.leaf {
-		return as.finishWalk(w, va, e, LevelPDPT, Page1G)
+		w.finish(va, e, LevelPDPT, Page1G)
+		return
 	}
 	w.Visited = append(w.Visited, e.pfn)
 	e = &e.next.entries[pdIndex(va)]
 	if !e.flags.Has(Present) {
 		w.TermLevel = LevelPD
-		return w
+		return
 	}
 	if e.leaf {
-		return as.finishWalk(w, va, e, LevelPD, Page2M)
+		w.finish(va, e, LevelPD, Page2M)
+		return
 	}
 	w.Visited = append(w.Visited, e.pfn)
 	e = &e.next.entries[ptIndex(va)]
 	if !e.flags.Has(Present) {
 		w.TermLevel = LevelPT
-		return w
+		return
 	}
-	return as.finishWalk(w, va, e, LevelPT, Page4K)
+	w.finish(va, e, LevelPT, Page4K)
 }
 
-func (as *AddressSpace) finishWalk(w Walk, va VirtAddr, e *entry, lvl Level, size PageSize) Walk {
+// finish records the leaf e of a mapped walk.
+func (w *Walk) finish(va VirtAddr, e *entry, lvl Level, size PageSize) {
 	w.Mapped = true
 	w.Flags = e.flags
 	w.Size = size
@@ -422,7 +413,6 @@ func (as *AddressSpace) finishWalk(w Walk, va VirtAddr, e *entry, lvl Level, siz
 	w.Dirty = e.flags.Has(Dirty)
 	offFrames := (uint64(va) % size.Bytes()) / phys.FrameSize
 	w.PFN = e.pfn + phys.PFN(offFrames)
-	return w
 }
 
 // markAccess sets Accessed (and Dirty for writes) on the leaf covering va.

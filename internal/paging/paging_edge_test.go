@@ -131,11 +131,11 @@ func TestDistinctAddressSpacesIsolated(t *testing.T) {
 
 func TestRootPFNStable(t *testing.T) {
 	as := newAS(t)
-	r := as.RootPFN()
+	r := as.rootFrame
 	if err := as.Map(0x1000, Page4K, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if as.RootPFN() != r {
+	if as.rootFrame != r {
 		t.Fatal("CR3 changed on map")
 	}
 }

@@ -1,6 +1,7 @@
 package paging
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -188,13 +189,13 @@ func TestSetDirty(t *testing.T) {
 	if err := as.Map(va, Page4K, 6, User|Writable); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.SetDirty(va, true); err != nil {
+	if err := as.setDirty(va, true); err != nil {
 		t.Fatal(err)
 	}
 	if w := as.Translate(va, nil); !w.Dirty {
 		t.Fatal("dirty not set")
 	}
-	if err := as.SetDirty(va, false); err != nil {
+	if err := as.setDirty(va, false); err != nil {
 		t.Fatal(err)
 	}
 	if w := as.Translate(va, nil); w.Dirty {
@@ -345,4 +346,23 @@ func TestTableSize(t *testing.T) {
 	if got := unsafe.Sizeof(table{}); got != 12<<10 {
 		t.Fatalf("a paging structure takes %d bytes, want %d", got, 12<<10)
 	}
+}
+
+// setDirty sets (or clears) the Dirty bit of the leaf mapping covering va,
+// as a kernel clearing D after writeback would.
+func (as *AddressSpace) setDirty(va VirtAddr, dirty bool) error {
+	e, _ := as.lookupLeaf(va)
+	if e == nil {
+		return fmt.Errorf("paging: setDirty of unmapped address %#x", uint64(va))
+	}
+	old := e.flags
+	if dirty {
+		e.flags |= Dirty
+	} else {
+		e.flags &^= Dirty
+	}
+	if e.flags != old {
+		as.version++
+	}
+	return nil
 }

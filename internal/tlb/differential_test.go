@@ -22,12 +22,32 @@ func diffCache(name string, got *setAssoc, want *refSetAssoc) string {
 			if valid != re.valid {
 				return fmt.Sprintf("%s: set %d way %d valid=%v, want %v", name, si, w, valid, re.valid)
 			}
-			e := re.Entry
-			e.lru = re.lru
-			if valid && got.set(si)[w] != e {
-				return fmt.Sprintf("%s: set %d way %d holds %+v, want %+v", name, si, w, got.set(si)[w], e)
+			if !valid {
+				continue
+			}
+			if i := si*got.ways + w; got.entries[i] != re.Entry || got.stamps[i] != re.lru {
+				return fmt.Sprintf("%s: set %d way %d holds %+v (lru %d), want %+v (lru %d)",
+					name, si, w, got.entries[i], got.stamps[i], re.Entry, re.lru)
 			}
 		}
+	}
+	return ""
+}
+
+// diffDerived recounts the valid ways of a cache and reports where its
+// derived index — the per-page-size entry counts lookups use to skip sizes
+// — disagrees with the recount, or "" when it agrees.
+func diffDerived(name string, s *setAssoc) string {
+	var sizes [numSizes]int
+	for si, live := range s.live {
+		for w := 0; w < s.cfg.Ways; w++ {
+			if live&(1<<w) != 0 {
+				sizes[sizeIndex(s.set(si)[w].size)]++
+			}
+		}
+	}
+	if sizes != s.sizes {
+		return fmt.Sprintf("%s: per-size counts %v, recount %v", name, s.sizes, sizes)
 	}
 	return ""
 }
@@ -37,9 +57,7 @@ func sameEntry(got *Entry, want *refEntry) bool {
 	if got == nil || want == nil {
 		return got == nil && want == nil
 	}
-	e := want.Entry
-	e.lru = want.lru
-	return *got == e
+	return *got == want.Entry
 }
 
 // diffOpVA spreads an op's address bytes over four regions, 16 PML4 and
@@ -78,14 +96,15 @@ func runTLBOps(t *testing.T, cfg TLBConfig, data []byte) {
 			w := paging.Walk{VA: va, Mapped: true, Flags: flags, Size: size,
 				PFN: phys.PFN(b), TermLevel: size.LeafLevel()}
 			what = fmt.Sprintf("Fill(%#x, %v, %d)", va, size, asid)
-			tl.Fill(va, w, asid)
+			tl.Fill(va, &w, asid)
 			rtl.Fill(va, w, asid)
 		case 9:
 			// A raw L1 insert, to compare evicted victims directly.
 			e := Entry{vpn: vpnOf(va, paging.Page4K), size: paging.Page4K, asid: asid, pfn: phys.PFN(c)}
-			what = fmt.Sprintf("l1.insert(%#x)", va)
-			var victim Entry
-			evicted := tl.l1.insert(&e, &victim)
+			what = fmt.Sprintf("l1.claim(%#x)", va)
+			slot, evicted := tl.l1.claim(e.vpn, e.size)
+			victim := tl.l1.entries[slot]
+			tl.l1.entries[slot] = e
 			rvictim, revicted := rtl.l1.insert(refEntry{Entry: e, valid: true})
 			if evicted != revicted || evicted && !sameEntry(&victim, &rvictim) {
 				t.Fatalf("op %d %s: victim %+v (%v), want %+v (%v)", n, what, victim, evicted, rvictim, revicted)
@@ -101,6 +120,14 @@ func runTLBOps(t *testing.T, cfg TLBConfig, data []byte) {
 				e.SetFlags(e.Flags() | paging.Dirty)
 				re.SetFlags(re.Flags() | paging.Dirty)
 			}
+			if res == Miss && c&0x10 != 0 {
+				// A repeated lookup of an address that just missed.
+				what += " + RepeatMiss"
+				tl.RepeatMiss()
+				if rres, _ := rtl.Lookup(va, asid); rres != Miss {
+					t.Fatalf("op %d %s: reference lookup hit, want a miss", n, what)
+				}
+			}
 		case 20, 21:
 			what = fmt.Sprintf("Invalidate(%#x)", va)
 			tl.Invalidate(va)
@@ -115,7 +142,7 @@ func runTLBOps(t *testing.T, cfg TLBConfig, data []byte) {
 			rtl.Flush(false)
 		case 24:
 			what = fmt.Sprintf("FlushASID(%d)", asid)
-			tl.FlushASID(asid)
+			tl.flushASID(asid)
 			rtl.FlushASID(asid)
 		case 25, 26, 27, 28, 29, 30, 31:
 			term, mapped := paging.Level(c%5), c&8 != 0
@@ -169,6 +196,9 @@ func runTLBOps(t *testing.T, cfg TLBConfig, data []byte) {
 			{"PML4E", psc.pml4e, rpsc.pml4e}, {"PDPTE", psc.pdpte, rpsc.pdpte}, {"PDE", psc.pde, rpsc.pde},
 		} {
 			if diff := diffCache(c.name, c.got, c.want); diff != "" {
+				t.Fatalf("op %d %s: %s", n, what, diff)
+			}
+			if diff := diffDerived(c.name, c.got); diff != "" {
 				t.Fatalf("op %d %s: %s", n, what, diff)
 			}
 		}

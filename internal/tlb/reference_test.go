@@ -292,3 +292,18 @@ func (p *refPSC) Restore(s refPSCSnapshot) {
 	p.pde.restore(s.pde)
 	p.Enabled = s.enabled
 }
+
+// pscTag returns the VA prefix that indexes the cache of a level: an entry
+// at level L is tagged by the VA bits that selected entries at levels
+// above-and-including L.
+func pscTag(va paging.VirtAddr, level paging.Level) uint64 {
+	switch level {
+	case paging.LevelPML4:
+		return uint64(va) >> 39
+	case paging.LevelPDPT:
+		return uint64(va) >> 30
+	case paging.LevelPD:
+		return uint64(va) >> 21
+	}
+	panic("tlb: psc tag for leaf level")
+}

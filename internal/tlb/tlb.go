@@ -34,7 +34,6 @@ type Entry struct {
 	asid  uint16
 	flags paging.Flags
 	pfn   phys.PFN
-	lru   uint64
 }
 
 // Flags returns the cached PTE flags.
@@ -57,12 +56,44 @@ type Config struct {
 }
 
 // setAssoc is a generic set-associative LRU cache of translations.
+//
+// The LRU stamps live apart from the entries, so the victim search of a
+// fill reads one short array per set. Besides the validity bitmaps the
+// cache keeps one derived index: sizes counts the valid entries of each
+// page size, so a lookup skips the sets of a size the cache holds none of.
+// Skipping changes nothing observable: the clock still ticks once per size
+// probed, exactly as a scan of an empty set would.
 type setAssoc struct {
 	cfg     Config
-	entries []Entry  // set-major: set s is entries[s*Ways : (s+1)*Ways]
+	entries []Entry  // set-major: set s is entries[s*ways : (s+1)*ways]
+	stamps  []uint64 // stamps[i] is the LRU stamp of entries[i]
 	live    []uint16 // bit w of live[s] is set iff way w of set s is valid
-	full    uint16   // the bitmap of a set with every way valid
+	sizes   [numSizes]int
+	mask    int    // cfg.Sets - 1
+	ways    int    // cfg.Ways
+	full    uint16 // the bitmap of a set with every way valid
 	clock   uint64
+}
+
+// The page sizes a TLB level caches, in the order a lookup probes them.
+const numSizes = 3
+
+var (
+	pageSizes  = [numSizes]paging.PageSize{paging.Page4K, paging.Page2M, paging.Page1G}
+	sizeShifts = [numSizes]uint{12, 21, 30}
+)
+
+// sizeIndex returns the position of size in pageSizes.
+func sizeIndex(size paging.PageSize) int {
+	switch size {
+	case paging.Page4K:
+		return 0
+	case paging.Page2M:
+		return 1
+	case paging.Page1G:
+		return 2
+	}
+	panic("tlb: bad page size")
 }
 
 func newSetAssoc(cfg Config) *setAssoc {
@@ -72,74 +103,108 @@ func newSetAssoc(cfg Config) *setAssoc {
 	return &setAssoc{
 		cfg:     cfg,
 		entries: make([]Entry, cfg.Sets*cfg.Ways),
+		stamps:  make([]uint64, cfg.Sets*cfg.Ways),
 		live:    make([]uint16, cfg.Sets),
+		mask:    cfg.Sets - 1,
+		ways:    cfg.Ways,
 		full:    uint16(1<<cfg.Ways - 1),
 	}
 }
 
-func (s *setAssoc) setIndex(vpn uint64) int {
-	return int(vpn) & (s.cfg.Sets - 1)
-}
-
-// set returns the ways of set si.
-func (s *setAssoc) set(si int) []Entry {
-	return s.entries[si*s.cfg.Ways : (si+1)*s.cfg.Ways : (si+1)*s.cfg.Ways]
-}
-
-// lookup returns the entry for (vpn,size,asid) or nil.
-func (s *setAssoc) lookup(vpn uint64, size paging.PageSize, asid uint16, global bool) *Entry {
+// lookup ticks the clock and returns the entry for (vpn,size) that asid may
+// use — its own or a Global one — or nil. Only valid ways are visited, in
+// ascending way order, so of two duplicates the lower way is found.
+func (s *setAssoc) lookup(vpn uint64, size paging.PageSize, asid uint16) *Entry {
 	s.clock++
-	si := s.setIndex(vpn)
-	set := s.set(si)
+	si := int(vpn) & s.mask
+	base := si * s.ways
 	for live := s.live[si]; live != 0; live &= live - 1 {
-		e := &set[bits.TrailingZeros16(live)]
-		if e.vpn == vpn && e.size == size &&
-			(e.asid == asid || global && e.flags.Has(paging.Global)) {
-			e.lru = s.clock
+		i := base + bits.TrailingZeros16(live)
+		e := &s.entries[i]
+		if e.vpn == vpn && e.size == size && (e.asid == asid || e.flags.Has(paging.Global)) {
+			s.stamps[i] = s.clock
 			return e
 		}
 	}
 	return nil
 }
 
-// insert copies e into the first free way, or else over the first least
-// recently used one, and reports whether it evicted a valid entry. The
-// evicted entry is copied to victim when victim is non-nil. Both are
-// pointers so that fills whose victim is dropped copy no Entry for it.
-func (s *setAssoc) insert(e, victim *Entry) (evicted bool) {
-	s.clock++
-	si := s.setIndex(e.vpn)
-	set := s.set(si)
-	vi := 0
-	if free := ^s.live[si] & s.full; free != 0 {
-		vi = bits.TrailingZeros16(free)
-		s.live[si] |= 1 << vi
-	} else {
-		for i := range set {
-			if set[i].lru < set[vi].lru {
-				vi = i
-			}
+// find looks va up at every page size in probe order, as one lookup per
+// size, and returns the first entry found or nil. A size the cache holds no
+// entry of is not scanned, but its lookup still ticks the clock.
+func (s *setAssoc) find(va paging.VirtAddr, asid uint16) *Entry {
+	for i, shift := range sizeShifts {
+		if s.sizes[i] == 0 {
+			s.clock++
+			continue
 		}
-		evicted = true
-		if victim != nil {
-			*victim = set[vi]
+		if e := s.lookup(uint64(va)>>shift, pageSizes[i], asid); e != nil {
+			return e
 		}
 	}
-	set[vi] = *e
-	set[vi].lru = s.clock
-	return evicted
+	return nil
+}
+
+// claim ticks the clock and picks the way a new entry for (vpn,size) takes:
+// the first free way, or else the first least recently used one, whose
+// entry it evicts. It marks the way valid and stamps it, keeps the per-size
+// counts, and returns the way's index in entries with its old entry still
+// in place, so the caller can copy a victim out before writing the new
+// entry there.
+func (s *setAssoc) claim(vpn uint64, size paging.PageSize) (slot int, evicted bool) {
+	s.clock++
+	si := int(vpn) & s.mask
+	base := si * s.ways
+	if free := ^s.live[si] & s.full; free != 0 {
+		w := bits.TrailingZeros16(free)
+		s.live[si] |= 1 << w
+		slot = base + w
+	} else {
+		stamps := s.stamps[base : base+s.ways]
+		w, oldest := 0, stamps[0]
+		for i, st := range stamps {
+			if st < oldest {
+				w, oldest = i, st
+			}
+		}
+		slot, evicted = base+w, true
+		s.sizes[sizeIndex(s.entries[slot].size)]--
+	}
+	s.sizes[sizeIndex(size)]++
+	s.stamps[slot] = s.clock
+	return slot, evicted
+}
+
+// insert copies e into the way claim picks, dropping any entry it evicts.
+func (s *setAssoc) insert(e *Entry) {
+	slot, _ := s.claim(e.vpn, e.size)
+	s.entries[slot] = *e
+}
+
+// put writes a paging-structure-cache entry, tagged tag, into the way claim
+// picks; its other fields are zero.
+func (s *setAssoc) put(tag uint64, asid uint16) {
+	slot, _ := s.claim(tag, paging.Page4K)
+	s.entries[slot] = Entry{vpn: tag, size: paging.Page4K, asid: asid}
+}
+
+// set returns the ways of set si.
+func (s *setAssoc) set(si int) []Entry {
+	base := si * s.ways
+	return s.entries[base : base+s.ways : base+s.ways]
 }
 
 // invalidate removes the entry for (vpn,size) in any ASID; returns whether
 // an entry was removed.
 func (s *setAssoc) invalidate(vpn uint64, size paging.PageSize) bool {
-	si := s.setIndex(vpn)
+	si := int(vpn) & s.mask
 	set := s.set(si)
 	hit := false
 	for live := s.live[si]; live != 0; live &= live - 1 {
 		w := bits.TrailingZeros16(live)
 		if set[w].vpn == vpn && set[w].size == size {
 			s.live[si] &^= 1 << w
+			s.sizes[sizeIndex(size)]--
 			hit = true
 		}
 	}
@@ -151,6 +216,7 @@ func (s *setAssoc) invalidate(vpn uint64, size paging.PageSize) bool {
 func (s *setAssoc) flush(keepGlobal bool) {
 	if !keepGlobal {
 		clear(s.live)
+		s.sizes = [numSizes]int{}
 		return
 	}
 	s.drop(func(e *Entry) bool { return !e.flags.Has(paging.Global) })
@@ -169,6 +235,7 @@ func (s *setAssoc) drop(match func(*Entry) bool) {
 			w := bits.TrailingZeros16(live)
 			if match(&set[w]) {
 				s.live[si] &^= 1 << w
+				s.sizes[sizeIndex(set[w].size)]--
 			}
 		}
 	}
@@ -180,6 +247,7 @@ func (s *setAssoc) drop(match func(*Entry) bool) {
 type savedEntry struct {
 	set, way int
 	e        Entry
+	lru      uint64
 }
 
 // cacheSnapshot is the full replayable state of one set-associative cache:
@@ -196,7 +264,8 @@ func (s *setAssoc) snapshot() cacheSnapshot {
 	for si, live := range s.live {
 		for ; live != 0; live &= live - 1 {
 			w := bits.TrailingZeros16(live)
-			snap.entries = append(snap.entries, savedEntry{set: si, way: w, e: s.set(si)[w]})
+			i := si*s.ways + w
+			snap.entries = append(snap.entries, savedEntry{set: si, way: w, e: s.entries[i], lru: s.stamps[i]})
 		}
 	}
 	return snap
@@ -205,10 +274,14 @@ func (s *setAssoc) snapshot() cacheSnapshot {
 // restore rewinds the cache to a snapshot taken on a same-geometry cache.
 func (s *setAssoc) restore(snap cacheSnapshot) {
 	clear(s.live)
+	s.sizes = [numSizes]int{}
 	s.clock = snap.clock
 	for _, se := range snap.entries {
-		s.set(se.set)[se.way] = se.e
+		i := se.set*s.ways + se.way
+		s.entries[i] = se.e
+		s.stamps[i] = se.lru
 		s.live[se.set] |= 1 << se.way
+		s.sizes[sizeIndex(se.e.size)]++
 	}
 }
 
@@ -261,61 +334,56 @@ const (
 )
 
 func vpnOf(va paging.VirtAddr, size paging.PageSize) uint64 {
-	switch size {
-	case paging.Page4K:
-		return uint64(va) >> 12
-	case paging.Page2M:
-		return uint64(va) >> 21
-	case paging.Page1G:
-		return uint64(va) >> 30
-	}
-	panic("tlb: bad page size")
+	return uint64(va) >> sizeShifts[sizeIndex(size)]
 }
 
 // Lookup searches for a translation of va at any page size for asid.
 // Real TLBs probe per-size in parallel; we model the same observable.
 func (t *TLB) Lookup(va paging.VirtAddr, asid uint16) (LookupResult, *Entry) {
-	for _, size := range []paging.PageSize{paging.Page4K, paging.Page2M, paging.Page1G} {
-		vpn := vpnOf(va, size)
-		if e := t.l1.lookup(vpn, size, asid, true); e != nil {
-			return HitL1, e
-		}
+	if e := t.l1.find(va, asid); e != nil {
+		return HitL1, e
 	}
-	for _, size := range []paging.PageSize{paging.Page4K, paging.Page2M, paging.Page1G} {
-		vpn := vpnOf(va, size)
-		if e := t.l2.lookup(vpn, size, asid, true); e != nil {
-			// Promote into L1 like a real hierarchy.
-			t.l1.insert(e, nil)
-			return HitL2, e
-		}
+	if e := t.l2.find(va, asid); e != nil {
+		// Promote into L1 like a real hierarchy.
+		t.l1.insert(e)
+		return HitL2, e
 	}
 	return Miss, nil
+}
+
+// RepeatMiss stands in for a Lookup the caller knows misses both levels:
+// it ticks each level's clock once per page size, exactly as that Lookup
+// would, without scanning a set. It is sound only when nothing has added
+// an entry since a Lookup of the same address and ASID missed.
+func (t *TLB) RepeatMiss() {
+	t.l1.clock += numSizes
+	t.l2.clock += numSizes
 }
 
 // Fill inserts a translation produced by a successful walk. L1 victims are
 // demoted to the STLB (exclusive-ish behaviour is close enough for the
 // attack observables).
-func (t *TLB) Fill(va paging.VirtAddr, w paging.Walk, asid uint16) {
-	e := Entry{
-		vpn:   vpnOf(va, w.Size),
-		size:  w.Size,
-		asid:  asid,
-		flags: w.Flags,
-		pfn:   w.PFN,
+func (t *TLB) Fill(va paging.VirtAddr, w *paging.Walk, asid uint16) {
+	vpn := vpnOf(va, w.Size)
+	slot, evicted := t.l1.claim(vpn, w.Size)
+	e := &t.l1.entries[slot]
+	if evicted {
+		t.l2.insert(e) // demote the victim before it is overwritten
 	}
-	var victim Entry
-	if t.l1.insert(&e, &victim) {
-		t.l2.insert(&victim, nil)
-	}
-	t.l2.insert(&e, nil)
+	*e = Entry{vpn: vpn, size: w.Size, asid: asid, flags: w.Flags, pfn: w.PFN}
+	t.l2.insert(e)
 }
 
 // Invalidate models INVLPG: drops the translation of va at every size.
 func (t *TLB) Invalidate(va paging.VirtAddr) {
-	for _, size := range []paging.PageSize{paging.Page4K, paging.Page2M, paging.Page1G} {
-		vpn := vpnOf(va, size)
-		t.l1.invalidate(vpn, size)
-		t.l2.invalidate(vpn, size)
+	for i, shift := range sizeShifts {
+		vpn, size := uint64(va)>>shift, pageSizes[i]
+		if t.l1.sizes[i] != 0 {
+			t.l1.invalidate(vpn, size)
+		}
+		if t.l2.sizes[i] != 0 {
+			t.l2.invalidate(vpn, size)
+		}
 	}
 }
 
@@ -326,9 +394,9 @@ func (t *TLB) Flush(keepGlobal bool) {
 	t.l2.flush(keepGlobal)
 }
 
-// FlushASID drops the non-global entries of one address space (PCID-
+// flushASID drops the non-global entries of one address space (PCID-
 // targeted invalidation).
-func (t *TLB) FlushASID(asid uint16) {
+func (t *TLB) flushASID(asid uint16) {
 	t.l1.flushASID(asid)
 	t.l2.flushASID(asid)
 }
@@ -376,45 +444,22 @@ func NewPSC() *PSC {
 	}
 }
 
-func (p *PSC) cacheFor(level paging.Level) *setAssoc {
-	switch level {
-	case paging.LevelPML4:
-		return p.pml4e
-	case paging.LevelPDPT:
-		return p.pdpte
-	case paging.LevelPD:
-		return p.pde
-	}
-	return nil
-}
-
-// pscTag returns the VA prefix that indexes the cache of a level: an entry
-// at level L is tagged by the VA bits that selected entries at levels
-// above-and-including L.
-func pscTag(va paging.VirtAddr, level paging.Level) uint64 {
-	switch level {
-	case paging.LevelPML4:
-		return uint64(va) >> 39
-	case paging.LevelPDPT:
-		return uint64(va) >> 30
-	case paging.LevelPD:
-		return uint64(va) >> 21
-	}
-	panic("tlb: psc tag for leaf level")
-}
-
 // Lookup reports the deepest interior level whose entry for va is cached.
 // A hit at level L means the walk may start at the structure below L,
-// skipping the levels at and above L.
+// skipping the levels at and above L. An entry at level L is tagged by the
+// VA bits that selected entries at levels above-and-including L.
 func (p *PSC) Lookup(va paging.VirtAddr, asid uint16) (paging.Level, bool) {
 	if !p.Enabled {
 		return paging.LevelNone, false
 	}
-	for _, level := range []paging.Level{paging.LevelPD, paging.LevelPDPT, paging.LevelPML4} {
-		c := p.cacheFor(level)
-		if e := c.lookup(pscTag(va, level), paging.Page4K, asid, false); e != nil {
-			return level, true
-		}
+	if p.pde.lookup(uint64(va)>>21, paging.Page4K, asid) != nil {
+		return paging.LevelPD, true
+	}
+	if p.pdpte.lookup(uint64(va)>>30, paging.Page4K, asid) != nil {
+		return paging.LevelPDPT, true
+	}
+	if p.pml4e.lookup(uint64(va)>>39, paging.Page4K, asid) != nil {
+		return paging.LevelPML4, true
 	}
 	return paging.LevelNone, false
 }
@@ -429,9 +474,14 @@ func (p *PSC) Fill(va paging.VirtAddr, termLevel paging.Level, mapped bool, asid
 	if !p.Enabled {
 		return
 	}
-	for level := paging.LevelPML4; level < termLevel && level <= paging.LevelPD; level++ {
-		c := p.cacheFor(level)
-		c.insert(&Entry{vpn: pscTag(va, level), size: paging.Page4K, asid: asid}, nil)
+	if termLevel > paging.LevelPML4 {
+		p.pml4e.put(uint64(va)>>39, asid)
+	}
+	if termLevel > paging.LevelPDPT {
+		p.pdpte.put(uint64(va)>>30, asid)
+	}
+	if termLevel > paging.LevelPD {
+		p.pde.put(uint64(va)>>21, asid)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"repro/internal/phys"
 )
 
-func walk4K(va paging.VirtAddr, pfn phys.PFN, flags paging.Flags) paging.Walk {
-	return paging.Walk{VA: va, Mapped: true, Flags: flags | paging.Present,
+func walk4K(va paging.VirtAddr, pfn phys.PFN, flags paging.Flags) *paging.Walk {
+	return &paging.Walk{VA: va, Mapped: true, Flags: flags | paging.Present,
 		Size: paging.Page4K, PFN: pfn, TermLevel: paging.LevelPT}
 }
 
@@ -57,7 +57,7 @@ func TestHugePagesLookupByContainedAddress(t *testing.T) {
 	base := paging.VirtAddr(0xffffffff81200000)
 	w := paging.Walk{VA: base, Mapped: true, Flags: paging.Present | paging.Global,
 		Size: paging.Page2M, PFN: 512, TermLevel: paging.LevelPD}
-	tlb.Fill(base, w, 1)
+	tlb.Fill(base, &w, 1)
 	// Any address inside the 2 MiB page must hit.
 	if res, _ := tlb.Lookup(base+0x5000, 1); res == Miss {
 		t.Fatal("2M entry missed for contained address")
@@ -98,7 +98,7 @@ func TestFlushASID(t *testing.T) {
 	tlb := NewTLB(DefaultTLBConfig())
 	tlb.Fill(0x1000, walk4K(0x1000, 1, paging.User), 1)
 	tlb.Fill(0x2000, walk4K(0x2000, 2, paging.User), 2)
-	tlb.FlushASID(1)
+	tlb.flushASID(1)
 	if res, _ := tlb.Lookup(0x1000, 1); res != Miss {
 		t.Fatal("ASID 1 entry survived")
 	}
