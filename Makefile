@@ -12,7 +12,9 @@
 #   make bench-test - vet and test the benchmark module: bench/ is its own
 #                    Go module, so go test ./... does not reach it
 #   make bench-smoke - one short seeded bench/run.sh pass per workload
-#                    declared in BENCHMARK.json, determinism oracle on;
+#                    declared in BENCHMARK.json, plus one of the undeclared
+#                    sweep-solo (~10 s: its 1000 jobs each fan a sweep out
+#                    over two pooled replicas), determinism oracle on;
 #                    fails on any failed or inconsistent job
 #   make bench-check - every Go benchmark body once (-benchtime 1x), so a
 #                    benchmark or its b.Fatal guard cannot rot unseen
@@ -35,7 +37,7 @@
 
 GO ?= go
 
-BENCH_WORKLOADS = spatial-hot spatial-cold mixed-zipf temporal-stateful
+BENCH_WORKLOADS = spatial-hot spatial-cold mixed-zipf temporal-stateful sweep-solo
 
 FUZZTIME ?= 10s
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/behavior"
@@ -51,6 +52,46 @@ func BenchmarkScan(b *testing.B) {
 				p.ScanMapped(linux.ModuleRegionBase, pages, paging.Page4K)
 			}
 			b.ReportMetric(float64(pages)*float64(b.N)/b.Elapsed().Seconds(), "probes/s")
+		})
+	}
+}
+
+// BenchmarkScanConcurrent runs two module-region sweeps at the same time,
+// the way two scheduler executors do: two booted victims, each with its
+// own prober, share one ScanPool. workers=0 sweeps inline on each victim's
+// machine; workers>=1 fans each sweep out over pooled replicas, so up to
+// four machines probe at once. probes/s counts the pages of both sweeps.
+func BenchmarkScanConcurrent(b *testing.B) {
+	pages := int(linux.ModuleRegionSize / paging.Page4K)
+	for _, workers := range []int{0, 1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := NewScanPool()
+			var probers [2]*Prober
+			for i := range probers {
+				seed := uint64(i + 1)
+				m := machine.New(uarch.AlderLake12400F(), seed)
+				if _, err := linux.Boot(m, linux.Config{Seed: seed}); err != nil {
+					b.Fatal(err)
+				}
+				p, err := NewProber(m, Options{Workers: workers, Pool: pool})
+				if err != nil {
+					b.Fatal(err)
+				}
+				probers[i] = p
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for _, p := range probers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						p.ScanMapped(linux.ModuleRegionBase, pages, paging.Page4K)
+					}()
+				}
+				wg.Wait()
+			}
+			b.ReportMetric(float64(len(probers)*pages)*float64(b.N)/b.Elapsed().Seconds(), "probes/s")
 		})
 	}
 }

@@ -124,10 +124,10 @@ type Prober struct {
 	// scans): the masked-op slice handed to machine.MeasureBatch, the
 	// window-relative positions of the probed ops, the raw per-sample
 	// measurements, the reduced decision values, and the per-window fast
-	// flags. Sized to the largest window the prober has probed. The first
-	// four live only for one window call; batchFast (and tickCyc) are
-	// result windows callers hold across calls, so the per-VA probes never
-	// write into them.
+	// flags. Sized to the largest window the prober has probed (rounded up
+	// by lineSlice). The first four live only for one window call;
+	// batchFast (and tickCyc) are result windows callers hold across calls,
+	// so the per-VA probes never write into them.
 	batchOps  []avx.Op
 	batchPos  []int
 	batchMeas []float64
@@ -140,6 +140,11 @@ type Prober struct {
 	// replicaBuf backs runSweep's per-scan replica list (a Prober runs one
 	// scan at a time, so one buffer suffices).
 	replicaBuf []*Prober
+
+	// Every batch writes faults, and a pool's replicas are built back to
+	// back and probe at once, so the struct is padded to a whole number
+	// of 64-byte lines (a test pins it): no two probers share a line.
+	_ [32]byte
 }
 
 // NewProber creates and calibrates a prober.
@@ -363,8 +368,11 @@ func (p *Prober) reduce(xs []float64) float64 {
 		if len(xs) == 1 {
 			return xs[0]
 		}
-		sorted := append(p.sortBuf[:0], xs...)
-		p.sortBuf = sorted
+		if cap(p.sortBuf) < len(xs) {
+			p.sortBuf = lineSlice[float64](len(xs))
+		}
+		sorted := p.sortBuf[:len(xs)]
+		copy(sorted, xs)
 		sort.Float64s(sorted)
 		keep := len(sorted) - len(sorted)/4
 		sum := 0.0
@@ -457,8 +465,8 @@ func (p *Prober) windowOps(store bool, start paging.VirtAddr, stride uint64, lo,
 	skip func(int) bool) ([]avx.Op, []int) {
 	n := hi - lo
 	if cap(p.batchOps) < n {
-		p.batchOps = make([]avx.Op, 0, n)
-		p.batchPos = make([]int, 0, n)
+		p.batchOps = lineSlice[avx.Op](n)[:0]
+		p.batchPos = lineSlice[int](n)[:0]
 	}
 	ops, pos := p.batchOps[:0], p.batchPos[:0]
 	for i := lo; i < hi; i++ {
@@ -479,7 +487,7 @@ func (p *Prober) windowOps(store bool, start paging.VirtAddr, stride uint64, lo,
 // measWindow returns the raw-measurement scratch, sized to n samples.
 func (p *Prober) measWindow(n int) []float64 {
 	if cap(p.batchMeas) < n {
-		p.batchMeas = make([]float64, n)
+		p.batchMeas = lineSlice[float64](n)
 	}
 	return p.batchMeas[:n]
 }
@@ -495,7 +503,7 @@ func (p *Prober) measureBatch(ops []avx.Op, loadJitter bool) []float64 {
 	meas := p.measWindow(len(ops) * k)
 	p.faults += p.M.MeasureBatch(ops, 1, k, meas)
 	if cap(p.batchVals) < len(ops) {
-		p.batchVals = make([]float64, len(ops))
+		p.batchVals = lineSlice[float64](len(ops))
 	}
 	vals := p.batchVals[:len(ops)]
 	jitter := 0.0
@@ -514,10 +522,16 @@ func (p *Prober) measureBatch(ops []avx.Op, loadJitter bool) []float64 {
 	return vals
 }
 
+// lineSlice returns a zeroed slice of length n for prober scratch. Its
+// capacity is rounded up to a multiple of 64 elements, so the backing array
+// is a whole number of 64-byte lines: pool replicas probe at once, and a
+// small window must not share a line with another replica's.
+func lineSlice[T any](n int) []T { return make([]T, (n+63)&^63)[:n] }
+
 // fastWindow returns the reusable per-window fast-flag scratch buffer.
 func (p *Prober) fastWindow(n int) []bool {
 	if cap(p.batchFast) < n {
-		p.batchFast = make([]bool, n)
+		p.batchFast = lineSlice[bool](n)
 	}
 	return p.batchFast[:n]
 }
@@ -628,7 +642,7 @@ func (p *Prober) ProbeTLBBatch(start paging.VirtAddr, n int, stride uint64, cycl
 // ProbeTLBBatch consumes internally.
 func (p *Prober) tickWindows(n int) ([]float64, []bool) {
 	if cap(p.tickCyc) < n {
-		p.tickCyc = make([]float64, n)
+		p.tickCyc = lineSlice[float64](n)
 	}
 	return p.tickCyc[:n], p.fastWindow(n)
 }

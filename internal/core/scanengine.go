@@ -195,6 +195,11 @@ type fusedWorker struct {
 	// they are shared by all workers of one scan and summed commutatively,
 	// so the split is as worker-count-invariant as the verdicts.
 	loadSim, storeSim *atomic.Uint64
+
+	// Every noise draw writes loadNoise or storeNoise, and a scan builds
+	// its workers back to back, so the struct is padded to a whole number
+	// of 64-byte lines (a test pins it): no two workers share a line.
+	_ [40]byte
 }
 
 func newFusedWorker(rp *Prober, loadSim, storeSim *atomic.Uint64) *fusedWorker {

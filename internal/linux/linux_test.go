@@ -185,7 +185,7 @@ func TestModuleLookupAndProcModules(t *testing.T) {
 
 func TestKPTITrampoline(t *testing.T) {
 	m, k := boot(t, Config{Seed: 13, KPTI: true})
-	if !m.KPTIEnabled() {
+	if m.KernelAS == m.UserAS {
 		t.Fatal("KPTI not enabled")
 	}
 	if k.TrampolineVA != k.Base+paging.VirtAddr(DefaultTrampolineOffset) {

@@ -113,7 +113,7 @@ func fillTranslationState(m *machine.Machine) {
 			Size: paging.Page4K, PFN: phys.PFN(i), TermLevel: paging.LevelPT}, 1)
 	}
 	for i := uint64(0); i < 64; i++ { // distinct tags in every PSC set
-		m.PSC.Fill(paging.VirtAddr(i<<39|i<<30|i<<21), paging.LevelPT, true, 1)
+		m.PSC.Fill(paging.VirtAddr(i<<39|i<<30|i<<21), paging.LevelPT, 1)
 	}
 	lines := m.PTELines.Sets() * m.PTELines.Ways()
 	for line := 0; line < lines; line++ { // eight PTEs per 64-byte line

@@ -220,7 +220,7 @@ func fillTranslationCaches(m *Machine) (tlbEntries, pscEntries, lines int) {
 			Size: paging.Page4K, PFN: phys.PFN(i), TermLevel: paging.LevelPT}, 1)
 	}
 	for i := uint64(0); i < 64; i++ { // distinct tags in every PSC set
-		m.PSC.Fill(paging.VirtAddr(i<<39|i<<30|i<<21), paging.LevelPT, true, 1)
+		m.PSC.Fill(paging.VirtAddr(i<<39|i<<30|i<<21), paging.LevelPT, 1)
 	}
 	for line := 0; line < m.PTELines.Sets()*m.PTELines.Ways(); line++ {
 		m.PTELines.Touch(phys.PFN(line/64), line%64*8) // eight PTEs per line

@@ -92,6 +92,11 @@ type Machine struct {
 	// the machine the events run on, so every worker replica replays with
 	// its own buffer and the temporal hot path stays allocation-free.
 	touchBuf []phys.PFN
+	// walkBufs back visitBuf, touchBuf and evictWalk.Visited (a walk
+	// visits at most four frames). They live inside the machine, so they
+	// sit on its own cache lines, never beside another machine's scratch
+	// that a concurrent probe writes.
+	walkBufs [3][4]phys.PFN
 	elemBuf  [8]uint32
 
 	// Per-call scratch state of ExecMasked: the page translations of the
@@ -141,14 +146,18 @@ func New(p *uarch.Preset, seed uint64) *Machine {
 // Seed returns the seed the machine's noise stream was created with.
 func (m *Machine) Seed() uint64 { return m.seed }
 
-// initHotPath builds the closures ExecMasked hands to avx.Evaluate. They
-// read the per-op scratch translations off the machine, so they are built
-// once per machine instead of once per instruction (a per-call closure
-// would allocate on every probe).
+// initHotPath points the walk scratch at the machine's own arrays and
+// builds the closures ExecMasked hands to avx.Evaluate. The closures read
+// the per-op scratch translations off the machine, so they are built once
+// per machine instead of once per instruction (a per-call closure would
+// allocate on every probe).
 func (m *Machine) initHotPath() {
 	for i := range m.scratchPI {
 		m.scratchPI[i].walk.Visited = m.scratchWalks[i][:0]
 	}
+	m.visitBuf = m.walkBufs[0][:0]
+	m.touchBuf = m.walkBufs[1][:0]
+	m.evictWalk.Visited = m.walkBufs[2][:0]
 	m.stateFn = func(page paging.VirtAddr) avx.PageState {
 		return walkState(&m.scratchWalk(page).walk)
 	}
@@ -449,9 +458,6 @@ func (m *Machine) InstallAddressSpaces(kernel, user *paging.AddressSpace) {
 	m.PSC.Flush()
 }
 
-// KPTIEnabled reports whether the user view differs from the kernel view.
-func (m *Machine) KPTIEnabled() bool { return m.KernelAS != m.UserAS }
-
 // RDTSC returns the current simulated time-stamp counter.
 func (m *Machine) RDTSC() uint64 { return m.tsc }
 
@@ -563,7 +569,7 @@ func (m *Machine) translate(as *paging.AddressSpace, va paging.VirtAddr, asUser,
 	walkCost *= m.Preset.EPTWalkMult
 	pi.cycles += walkCost
 
-	m.PSC.Fill(va, w.TermLevel, w.Mapped, as.ASID)
+	m.PSC.Fill(va, w.TermLevel, as.ASID)
 
 	// AMD Zen 3: user-mode probes of supervisor pages do not install TLB
 	// entries (§IV-B).

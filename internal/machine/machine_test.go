@@ -332,7 +332,7 @@ func TestKPTIViewsIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.InstallAddressSpaces(kernel, user)
-	if !m.KPTIEnabled() {
+	if m.KernelAS == m.UserAS {
 		t.Fatal("KPTI not reported")
 	}
 	// A user probe must see the kernel page as unmapped (it probes the

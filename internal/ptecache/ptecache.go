@@ -13,6 +13,11 @@
 // whatever the cache holds, and lookups, evictions and snapshots visit only
 // the valid ways, in ascending way order. Slot order breaks LRU ties and
 // picks the free way a fill takes.
+//
+// Every walk's touches write the cache's clock and bitmaps, and the caches
+// of several machines probe at once on different cores, so the header is
+// padded to a whole number of 64-byte lines and the bitmaps fill at least
+// one line: no line a probe writes holds another machine's state.
 package ptecache
 
 import (
@@ -32,6 +37,7 @@ type Cache struct {
 	full  uint16 // the bitmap of a set with every way valid
 	mask  uint64
 	clock uint64
+	_     [48]byte // pads the header to two cache lines (a test pins it)
 }
 
 // Sets returns the number of sets (used to size machine replicas).
@@ -54,7 +60,7 @@ func New(sets, ways int) *Cache {
 	}
 	return &Cache{
 		lines: make([]line, sets*ways),
-		live:  make([]uint16, sets),
+		live:  make([]uint16, max(sets, 32))[:sets], // at least one line
 		ways:  ways,
 		full:  uint16(1<<ways - 1),
 		mask:  uint64(sets - 1),

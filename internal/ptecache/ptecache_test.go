@@ -3,6 +3,7 @@ package ptecache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/phys"
 )
@@ -107,5 +108,20 @@ func TestTouchProperty(t *testing.T) {
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Every touch writes the cache's clock and bitmaps, so both fill whole
+// 64-byte lines (see the package comment): the header is a multiple of 64
+// bytes and the bitmaps take at least one line, however few sets.
+func TestCacheStateFillsWholeLines(t *testing.T) {
+	if n := unsafe.Sizeof(Cache{}); n%64 != 0 {
+		t.Errorf("Cache header is %d bytes, not a multiple of 64", n)
+	}
+	for _, sets := range []int{1, 4, 1024} {
+		c := New(sets, 8)
+		if n := uintptr(cap(c.live)) * unsafe.Sizeof(c.live[0]); n < 64 {
+			t.Errorf("New(%d, 8): bitmaps take %d bytes, less than a line", sets, n)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -242,19 +241,6 @@ func (s *Scheduler) Wait(j *Job) (*Result, error) {
 		return nil, fmt.Errorf("service: job %d: %s", j.ID, snap.Err)
 	}
 	return snap.Result, nil
-}
-
-// WaitCtx is Wait bounded by a context: it returns the job's result when
-// the job finishes first, or the context's error when the deadline or
-// cancellation wins — so a client can never hang forever on a job whose
-// executor died. The job itself keeps running either way.
-func (s *Scheduler) WaitCtx(ctx context.Context, j *Job) (*Result, error) {
-	select {
-	case <-j.Done():
-		return s.Wait(j)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // Drain stops accepting new jobs, runs the queue dry and waits for every

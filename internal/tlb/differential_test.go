@@ -40,7 +40,7 @@ func diffCache(name string, got *setAssoc, want *refSetAssoc) string {
 func diffDerived(name string, s *setAssoc) string {
 	var sizes [numSizes]int
 	for si, live := range s.live {
-		for w := 0; w < s.cfg.Ways; w++ {
+		for w := 0; w < s.ways; w++ {
 			if live&(1<<w) != 0 {
 				sizes[sizeIndex(s.set(si)[w].size)]++
 			}
@@ -145,10 +145,10 @@ func runTLBOps(t *testing.T, cfg TLBConfig, data []byte) {
 			tl.flushASID(asid)
 			rtl.FlushASID(asid)
 		case 25, 26, 27, 28, 29, 30, 31:
-			term, mapped := paging.Level(c%5), c&8 != 0
-			what = fmt.Sprintf("PSC.Fill(%#x, %v, %v, %d)", va, term, mapped, asid)
-			psc.Fill(va, term, mapped, asid)
-			rpsc.Fill(va, term, mapped, asid)
+			term := paging.Level(c % 5)
+			what = fmt.Sprintf("PSC.Fill(%#x, %v, %d)", va, term, asid)
+			psc.Fill(va, term, asid)
+			rpsc.Fill(va, term, asid)
 		case 32, 33, 34, 35, 36:
 			what = fmt.Sprintf("PSC.Lookup(%#x, %d)", va, asid)
 			lvl, ok := psc.Lookup(va, asid)

@@ -248,14 +248,11 @@ func (p *refPSC) Lookup(va paging.VirtAddr, asid uint16) (paging.Level, bool) {
 	return paging.LevelNone, false
 }
 
-func (p *refPSC) Fill(va paging.VirtAddr, termLevel paging.Level, mapped bool, asid uint16) {
+func (p *refPSC) Fill(va paging.VirtAddr, termLevel paging.Level, asid uint16) {
 	if !p.Enabled {
 		return
 	}
 	deepest := termLevel - 1
-	if mapped {
-		deepest = termLevel - 1
-	}
 	for level := paging.LevelPML4; level <= deepest && level <= paging.LevelPD; level++ {
 		c := p.cacheFor(level)
 		c.insert(refEntry{Entry: Entry{vpn: pscTag(va, level), size: paging.Page4K, asid: asid}, valid: true})

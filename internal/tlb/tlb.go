@@ -15,6 +15,11 @@
 // snapshots visit only the valid ways, in ascending way order. Slot order
 // breaks LRU ties, picks the free way a fill takes and decides which of two
 // duplicate entries a lookup finds.
+//
+// Every lookup and fill writes its cache's header and bitmaps, and the
+// caches of several machines probe at once on different cores, so the
+// header is a whole number of 64-byte lines and each bitmap fills at least
+// one line: no line a probe writes holds another machine's state.
 package tlb
 
 import (
@@ -63,14 +68,16 @@ type Config struct {
 // page size, so a lookup skips the sets of a size the cache holds none of.
 // Skipping changes nothing observable: the clock still ticks once per size
 // probed, exactly as a scan of an empty set would.
+//
+// The header is exactly two cache lines (128 bytes; a test pins it), so a
+// field added here must keep the size a multiple of 64.
 type setAssoc struct {
-	cfg     Config
 	entries []Entry  // set-major: set s is entries[s*ways : (s+1)*ways]
 	stamps  []uint64 // stamps[i] is the LRU stamp of entries[i]
 	live    []uint16 // bit w of live[s] is set iff way w of set s is valid
 	sizes   [numSizes]int
-	mask    int    // cfg.Sets - 1
-	ways    int    // cfg.Ways
+	mask    int    // Config.Sets - 1
+	ways    int    // Config.Ways
 	full    uint16 // the bitmap of a set with every way valid
 	clock   uint64
 }
@@ -101,10 +108,9 @@ func newSetAssoc(cfg Config) *setAssoc {
 		panic("tlb: more than 16 ways")
 	}
 	return &setAssoc{
-		cfg:     cfg,
 		entries: make([]Entry, cfg.Sets*cfg.Ways),
 		stamps:  make([]uint64, cfg.Sets*cfg.Ways),
-		live:    make([]uint16, cfg.Sets),
+		live:    make([]uint16, max(cfg.Sets, 32))[:cfg.Sets], // at least one line
 		mask:    cfg.Sets - 1,
 		ways:    cfg.Ways,
 		full:    uint16(1<<cfg.Ways - 1),
@@ -470,7 +476,7 @@ func (p *PSC) Lookup(va paging.VirtAddr, asid uint16) (paging.Level, bool) {
 // whether it is the leaf of a mapped walk or the non-present entry that
 // ended a failed one. Fill inserts without probing, so refilling a cached
 // prefix adds a duplicate entry; lookups find the one in the lowest way.
-func (p *PSC) Fill(va paging.VirtAddr, termLevel paging.Level, mapped bool, asid uint16) {
+func (p *PSC) Fill(va paging.VirtAddr, termLevel paging.Level, asid uint16) {
 	if !p.Enabled {
 		return
 	}

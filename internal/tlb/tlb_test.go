@@ -3,6 +3,7 @@ package tlb
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/paging"
 	"repro/internal/phys"
@@ -188,13 +189,13 @@ func TestPSCFillAndLookup(t *testing.T) {
 	psc := NewPSC()
 	va := paging.VirtAddr(0xffffffff81200000)
 	// A mapped 2M walk (term PD) caches PML4E and PDPTE.
-	psc.Fill(va, paging.LevelPD, true, 1)
+	psc.Fill(va, paging.LevelPD, 1)
 	lvl, ok := psc.Lookup(va, 1)
 	if !ok || lvl != paging.LevelPDPT {
 		t.Fatalf("lookup %v %v, want PDPT hit", lvl, ok)
 	}
 	// A 4K walk (term PT) caches down to the PDE.
-	psc.Fill(va, paging.LevelPT, true, 1)
+	psc.Fill(va, paging.LevelPT, 1)
 	lvl, ok = psc.Lookup(va, 1)
 	if !ok || lvl != paging.LevelPD {
 		t.Fatalf("lookup %v %v, want PD hit", lvl, ok)
@@ -204,7 +205,7 @@ func TestPSCFillAndLookup(t *testing.T) {
 func TestPSCNeverCachesPT(t *testing.T) {
 	psc := NewPSC()
 	va := paging.VirtAddr(0x1000)
-	psc.Fill(va, paging.LevelPT, true, 1)
+	psc.Fill(va, paging.LevelPT, 1)
 	lvl, ok := psc.Lookup(va, 1)
 	// Deepest possible hit is PD — PT entries are never cached (Intel).
 	if ok && lvl == paging.LevelPT {
@@ -216,7 +217,7 @@ func TestPSCNonPresentTopLevelNotCached(t *testing.T) {
 	psc := NewPSC()
 	va := paging.VirtAddr(0xffff800000000000)
 	// Unmapped at PML4: nothing present was traversed, nothing cached.
-	psc.Fill(va, paging.LevelPML4, false, 1)
+	psc.Fill(va, paging.LevelPML4, 1)
 	if _, ok := psc.Lookup(va, 1); ok {
 		t.Fatal("PSC cached a non-present PML4E")
 	}
@@ -226,7 +227,7 @@ func TestPSCDisabled(t *testing.T) {
 	psc := NewPSC()
 	psc.Enabled = false
 	va := paging.VirtAddr(0x2000)
-	psc.Fill(va, paging.LevelPT, true, 1)
+	psc.Fill(va, paging.LevelPT, 1)
 	if _, ok := psc.Lookup(va, 1); ok {
 		t.Fatal("disabled PSC returned a hit")
 	}
@@ -235,7 +236,7 @@ func TestPSCDisabled(t *testing.T) {
 func TestPSCFlush(t *testing.T) {
 	psc := NewPSC()
 	va := paging.VirtAddr(0xffffffff81200000)
-	psc.Fill(va, paging.LevelPD, true, 1)
+	psc.Fill(va, paging.LevelPD, 1)
 	if psc.EntryCount() == 0 {
 		t.Fatal("nothing cached")
 	}
@@ -248,7 +249,7 @@ func TestPSCFlush(t *testing.T) {
 func TestPSCRegionTagging(t *testing.T) {
 	psc := NewPSC()
 	va := paging.VirtAddr(0xffffffff81200000)
-	psc.Fill(va, paging.LevelPD, true, 1)
+	psc.Fill(va, paging.LevelPD, 1)
 	// A different 2M region in the same 1G region still hits the PDPTE
 	// cache (shared prefix) but not a PDE-level hit.
 	other := va + 8*paging.Page2M
@@ -267,5 +268,21 @@ func TestPSCRegionTagging(t *testing.T) {
 	far := paging.VirtAddr(0xffff800000000000)
 	if _, ok := psc.Lookup(far, 1); ok {
 		t.Fatal("unrelated PML4 slot hit the PSC")
+	}
+}
+
+// Every lookup and fill writes a cache's header and bitmaps, so both fill
+// whole 64-byte lines (see the package comment): the header is a multiple
+// of 64 bytes and each level's bitmaps take at least one line.
+func TestCacheStateFillsWholeLines(t *testing.T) {
+	if n := unsafe.Sizeof(setAssoc{}); n%64 != 0 {
+		t.Errorf("setAssoc header is %d bytes, not a multiple of 64", n)
+	}
+	tl, psc := NewTLB(DefaultTLBConfig()), NewPSC()
+	levels := map[string]*setAssoc{"L1": tl.l1, "STLB": tl.l2, "PML4E": psc.pml4e, "PDPTE": psc.pdpte, "PDE": psc.pde}
+	for name, s := range levels {
+		if n := uintptr(cap(s.live)) * unsafe.Sizeof(s.live[0]); n < 64 {
+			t.Errorf("%s bitmaps take %d bytes, less than a line", name, n)
+		}
 	}
 }

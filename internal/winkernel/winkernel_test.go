@@ -101,7 +101,7 @@ func TestDriversNeverSpanFiveSlots(t *testing.T) {
 
 func TestKVASLayout(t *testing.T) {
 	m, k := boot(t, Config{Seed: 5, KVAS: true})
-	if !m.KPTIEnabled() {
+	if m.KernelAS == m.UserAS {
 		t.Fatal("KVAS must isolate the user view")
 	}
 	if k.KVASVA != k.Base+paging.VirtAddr(KVASOffset) {
