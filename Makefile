@@ -34,6 +34,13 @@
 #                    and records nothing. End-to-end numbers come from
 #                    bench/run.sh (see bench/README.md); paper claims and
 #                    ablations are checked by internal/experiments.
+#                    Compare layer numbers at one -cpu value on both
+#                    sides: single-goroutine rows (BenchmarkExecMasked,
+#                    BenchmarkScan/workers=1) at -cpu 1, because at the
+#                    default -cpu 2 on a 2-vCPU host they read slower and
+#                    spread wider; only multi-worker rows
+#                    (BenchmarkScan/workers=2, BenchmarkScanConcurrent)
+#                    at -cpu 2.
 
 GO ?= go
 

@@ -136,7 +136,7 @@ func BenchmarkProbeBatch(b *testing.B) {
 }
 
 // Pooled re-scan allocations must not scale with the worker count beyond
-// the engine's small per-shard constants (worker struct, goroutine,
+// the sweep's small per-shard constants (worker struct, goroutine,
 // pool-get bookkeeping): the probers, their batch scratch and the replica
 // list are all pooled or parent-owned. A per-worker budget of a few small
 // allocations is the whole remaining growth.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/linux"
 	"repro/internal/paging"
-	"repro/internal/scan"
 )
 
 // SpySample is one spy-tick observation of one monitored module.
@@ -43,7 +42,7 @@ func (t SpyTrace) Accuracy(tl *behavior.Timeline) float64 {
 
 // MaxSpyTargets bounds the modules one spy — and so one app fingerprinter's
 // watch — probes per sweep (the tick verdict is a fixed-size record so the
-// scan engine can merge it).
+// sweep can merge it).
 const MaxSpyTargets = 8
 
 // tickObs is one tick's observation across all watched targets — the
@@ -51,16 +50,6 @@ const MaxSpyTargets = 8
 type tickObs struct {
 	min    [MaxSpyTargets]float64
 	active [MaxSpyTargets]bool
-}
-
-// tickChunk returns the shard granularity of the temporal sweep, in ticks:
-// small enough that a 100-tick Figure 6 run still fans out across workers,
-// overridable through the usual Options.ScanChunkPages knob.
-func tickChunk(p *Prober) int {
-	if p.Opt.ScanChunkPages > 0 {
-		return p.Opt.ScanChunkPages
-	}
-	return 8
 }
 
 // windowTicks returns how many TickSec ticks the half-open window [t0, t1)
@@ -194,7 +183,7 @@ func (s *BehaviorSpy) RunWindow(d *behavior.Driver, t0, t1 float64) ([]SpyTrace,
 	return s.assemble(t0, s.sweep(d, t0, windowTicks(t0, t1, s.TickSec))), nil
 }
 
-// sweep runs n ticks from victim time t0 on the scan engine — the one
+// sweep runs n ticks from victim time t0 through runSweep — the one
 // temporal sweep, which the app fingerprinter also votes on. Ticks become
 // probe indices, chunks of ticks fan out across Options.Workers machine
 // replicas, and each worker replays the driver events of its chunk's
@@ -203,10 +192,11 @@ func (s *BehaviorSpy) sweep(d *behavior.Driver, t0 float64, n int) []tickObs {
 	// Materialize unbounded victim timelines through the window before the
 	// fan-out: worker replicas then replay events as pure reads.
 	d.EnsureHorizon(t0 + float64(n)*s.TickSec)
-	return runSweep(s.P, 0, n, 1, tickChunk(s.P), -1,
-		func(rp *Prober) scan.Worker[tickObs] {
+	obs, _ := runSweep(s.P, 0, n, 1, tickChunk,
+		func(rp *Prober) *spyWorker {
 			return &spyWorker{workerBase: workerBase{p: rp}, spy: s, d: d, t0: t0}
-		}).Verdicts
+		}, nil)
+	return obs
 }
 
 // assemble splits the merged per-tick observations into per-target traces.

@@ -29,9 +29,8 @@ func BenchmarkProbeMapped(b *testing.B) {
 	}
 }
 
-// BenchmarkScan measures the sharded scan engine on the full module-region
-// sweep (16384 pages — the heaviest recurring scan in Table I) across
-// worker counts. The workers=1 case is the sequential baseline; wall-clock
+// BenchmarkScan measures ScanMapped over the full module region (16384
+// pages — the heaviest recurring sweep in Table I) across worker counts. The workers=1 case is the sequential baseline; wall-clock
 // scaling is bounded by host cores, and the output is bit-identical at
 // every worker count.
 func BenchmarkScan(b *testing.B) {

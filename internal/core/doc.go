@@ -4,21 +4,25 @@
 // The framework is built from three attack primitives (§III-C), all of
 // which rely on masked-operation fault suppression (P1):
 //
-//   - the page-table attack (Prober.ProbeMapped / Prober.ProbeTermLevel)
+//   - the page-table attack (Prober.ProbeMapped / Prober.ScanTermLevel)
 //     distinguishes mapped from unmapped pages (P2) or leaks the
 //     page-table level where the walk terminates (P3);
 //   - the TLB attack (Prober.ProbeTLB) distinguishes TLB hits from misses
 //     for kernel translations (P4);
-//   - the permission attack (Prober.ProbePerm) classifies page
-//     permissions with paired masked-load/masked-store probes (P5).
+//   - the permission attack (UserScan) classifies page permissions with
+//     paired masked-load/masked-store probes (P5).
 //
 // Each primitive has one probing path. A per-VA probe (ProbeMapped,
-// ProbeMappedStore, ProbeTLB, ProbeTermLevel) is its batch window over a
-// single index — the same window every scan chunk runs over many indices
+// ProbeMappedStore, ProbeTLB) is its batch window over a single index —
+// the same window every sweep chunk runs over many indices
 // (probeBatchWindow, ProbeTLBBatch, probeTermBatchWindow) — with its own
 // one-element result windows, so a per-VA probe and a sweep cannot drift
 // apart. reference_test.go holds one-op-at-a-time probe loops over
 // machine.Measure as the differential reference for both.
+//
+// Every sweep runs through runSweep (scanengine.go), inline on the
+// prober's machine or sharded over pooled machine replicas, with the same
+// bit-identical output at every worker count.
 //
 // On top of the primitives, the package provides the end-to-end attacks the
 // paper evaluates: KernelBase (§IV-B), Modules (§IV-C), KPTIBreak (§IV-D),

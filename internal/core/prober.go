@@ -54,19 +54,17 @@ type Options struct {
 	Margin float64
 	// ExtraJitterSigma adds timer jitter (SGX counting-thread fallback).
 	ExtraJitterSigma float64
-	// Workers sets the host parallelism of the large VA sweeps (ScanMapped,
-	// the §IV-F store-classification pass, the AMD term-level sweep), which
-	// all run on the sharded engine (internal/scan). 0 runs the engine
-	// inline on the prober's own machine (sequential, no replicas); any
-	// value >= 1 fans chunks out across that many worker machine replicas;
+	// Workers sets the host parallelism of every sweep (ScanMapped, the
+	// fused §IV-F user scan, the AMD term-level sweep, the §IV-E tick
+	// sweep), which all run through runSweep. 0 runs the sweep inline on
+	// the prober's own machine (sequential, no replicas); any value >= 1
+	// fans chunks out across that many worker machine replicas;
 	// negative means "all CPUs" (normalized to runtime.NumCPU by
 	// withDefaults). Output is bit-identical at every setting for a fixed
 	// machine seed — worker count buys host wall-clock, never different
 	// results.
 	Workers int
-	// ScanChunkPages overrides the engine shard granularity (0 = default).
-	ScanChunkPages int
-	// Pool is the session-persistent pool the engine draws its worker
+	// Pool is the session-persistent pool sharded sweeps draw their worker
 	// prober replicas (calibrated probers on machine replicas, with their
 	// batch scratch) from when Workers >= 1. Construct one ScanPool per
 	// session and share it across probers (and victims); nil gives the
@@ -116,8 +114,8 @@ type Prober struct {
 	// sortBuf is the trimmed-mean reduction's scratch, reused so the
 	// reduction does not allocate per probe.
 	sortBuf []float64
-	// scanEpoch salts the engine seed per ScanMapped call so consecutive
-	// scans on one prober draw independent noise.
+	// scanEpoch salts the sweep seed per sweep so consecutive sweeps on one
+	// prober draw independent noise.
 	scanEpoch uint64
 
 	// Batch scratch, reused across chunks (and, via the prober pool, across
@@ -144,7 +142,7 @@ type Prober struct {
 	// Every batch writes faults, and a pool's replicas are built back to
 	// back and probe at once, so the struct is padded to a whole number
 	// of 64-byte lines (a test pins it): no two probers share a line.
-	_ [32]byte
+	_ [40]byte
 }
 
 // NewProber creates and calibrates a prober.
@@ -536,33 +534,13 @@ func (p *Prober) fastWindow(n int) []bool {
 	return p.batchFast[:n]
 }
 
-// TermProbe is one walk-termination-level probe outcome (P3).
-type TermProbe struct {
-	VA     paging.VirtAddr
-	Cycles float64
-}
-
-// ProbeTermLevel runs the page-table-level attack (P3) at va: evict the
-// translation caches and page-table lines, then time a masked load, samples
-// times, keeping the minimum. The latency now reflects the number of paging
-// structures the walk reads — a walk that reaches a PT (4 KiB-mapped or
-// 4 KiB-structured region) reads one more cold line than one stopping at
-// the PD. Used on AMD (§IV-B), where mapped kernel pages never enter the
-// TLB. It is the one-index window of probeTermBatchWindow, the primitive
-// every term-level sweep chunk runs.
-func (p *Prober) ProbeTermLevel(va paging.VirtAddr, samples int) TermProbe {
-	var cycles [1]float64
-	var verdict [1]bool
-	p.probeTermBatchWindow(va, 0, 0, 1, samples, 0, cycles[:], verdict[:])
-	return TermProbe{VA: va, Cycles: cycles[0]}
-}
-
 // probeTermBatchWindow is the walk-termination probing primitive under
-// ProbeTermLevel and every term-level sweep chunk: for each index of
-// [lo, hi), samples eviction+measure pairs run through
-// machine.MeasureEvictedBatch and reduce by minimum (samples <= 0 means 1).
-// cycles and verdicts receive the window-relative results; verdict = cycles
-// above the walk-termination threshold.
+// every term-level sweep chunk (and the one-index ProbeTermLevel the
+// reference tests compare): for each index of [lo, hi), samples
+// eviction+measure pairs run through machine.MeasureEvictedBatch and
+// reduce by minimum (samples <= 0 means 1). cycles and verdicts receive the
+// window-relative results; verdict = cycles above the walk-termination
+// threshold.
 func (p *Prober) probeTermBatchWindow(start paging.VirtAddr, stride uint64, lo, hi int,
 	samples int, threshold float64, cycles []float64, verdicts []bool) {
 	if samples <= 0 {
@@ -589,18 +567,17 @@ func (p *Prober) probeTermBatchWindow(start paging.VirtAddr, stride uint64, lo, 
 
 // ScanMapped probes n pages from start at the given stride with the
 // page-table attack, then re-probes (min-of-3) every page whose verdict
-// disagrees with both neighbours: interrupt spikes produce isolated false
-// "unmapped" reads that would split a module or image run in two. The
-// second pass is what the paper's 99.7–99.8 % module accuracy implies.
+// disagrees with a neighbour: interrupt spikes produce isolated false
+// "unmapped" reads that would split a module or image run in two, or
+// shorten one at its edge. The second pass is what the paper's
+// 99.7–99.8 % module accuracy implies.
 //
-// The sweep always runs on the sharded engine (internal/scan): Workers >= 1
-// fans chunks out across that many machine replicas, Workers == 0 runs the
-// identical engine semantics inline on the prober's own machine. The merged
-// output is bit-identical at every worker setting for a fixed machine seed
-// (see runSweep).
+// The merged output is bit-identical at every Options.Workers setting for
+// a fixed machine seed (see runSweep).
 func (p *Prober) ScanMapped(start paging.VirtAddr, n int, stride uint64) ([]bool, []float64) {
-	res := p.scanMapped(start, n, stride)
-	return res.Verdicts, res.Cycles
+	return runSweep(p, start, n, stride, chunkPages,
+		func(rp *Prober) *mappedWorker { return &mappedWorker{workerBase{p: rp}} },
+		(*mappedWorker).HealProbe)
 }
 
 // ProbeTLB runs the TLB attack (P4) at va: a single timed masked load.
@@ -672,24 +649,4 @@ func (c PermClass) String() string {
 		return "rw-"
 	}
 	return "?"
-}
-
-// ProbePerm runs the permission attack (P5) at va. The load probe uses an
-// all-zero mask (never faults); for readable pages the store probe's
-// timing separates writable (fast or dirty-assist) from read-only
-// (store assist) destinations.
-func (p *Prober) ProbePerm(va paging.VirtAddr) PermClass {
-	load := p.ProbeMapped(va)
-	if !load.Fast {
-		return PermUnmapped
-	}
-	store := p.ProbeMappedStore(va)
-	if store.Fast {
-		// Store resolved without an inaccessible-page assist: writable.
-		// (A first-write dirty assist times at the threshold; probing with
-		// an all-zero mask never sets D, so a clean rw- page still shows
-		// the fast store path — the assist only fires for real writes.)
-		return PermWritable
-	}
-	return PermReadable
 }

@@ -50,6 +50,27 @@ func TestCalibrationUnmapsScratch(t *testing.T) {
 	}
 }
 
+// ProbePerm runs the permission attack (P5) at va, one VA at a time. The
+// load probe uses an all-zero mask (never faults); for readable pages the
+// store probe's timing separates writable (fast or dirty-assist) from
+// read-only (store assist) destinations. Production classifies pages with
+// the fused UserScan sweep, which pairs the same two probes per chunk.
+func (p *Prober) ProbePerm(va paging.VirtAddr) PermClass {
+	load := p.ProbeMapped(va)
+	if !load.Fast {
+		return PermUnmapped
+	}
+	store := p.ProbeMappedStore(va)
+	if store.Fast {
+		// Store resolved without an inaccessible-page assist: writable.
+		// (A first-write dirty assist times at the threshold; probing with
+		// an all-zero mask never sets D, so a clean rw- page still shows
+		// the fast store path — the assist only fires for real writes.)
+		return PermWritable
+	}
+	return PermReadable
+}
+
 func TestStoreThresholdSeparatesWritability(t *testing.T) {
 	p, _ := bootedProber(t, uarch.AlderLake12400F(), 35, linux.Config{})
 	m := p.M

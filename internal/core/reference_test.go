@@ -11,7 +11,6 @@ import (
 	"repro/internal/linux"
 	"repro/internal/machine"
 	"repro/internal/paging"
-	"repro/internal/scan"
 	"repro/internal/stats"
 	"repro/internal/uarch"
 )
@@ -148,6 +147,27 @@ func (p *refProber) ProbeMappedStore(va paging.VirtAddr) ProbeResult {
 	return ProbeResult{VA: va, Cycles: best, Fast: p.StoreThreshold.Classify(best)}
 }
 
+// TermProbe is one walk-termination-level probe outcome (P3).
+type TermProbe struct {
+	VA     paging.VirtAddr
+	Cycles float64
+}
+
+// ProbeTermLevel runs the page-table-level attack (P3) at va: evict the
+// translation caches and page-table lines, then time a masked load, samples
+// times, keeping the minimum. The latency reflects the number of paging
+// structures the walk reads — a walk that reaches a PT (4 KiB-mapped or
+// 4 KiB-structured region) reads one more cold line than one stopping at
+// the PD. It is the one-index window of probeTermBatchWindow, the
+// primitive every production term-level sweep chunk runs, so comparing it
+// with the reference below checks that primitive one VA at a time.
+func (p *Prober) ProbeTermLevel(va paging.VirtAddr, samples int) TermProbe {
+	var cycles [1]float64
+	var verdict [1]bool
+	p.probeTermBatchWindow(va, 0, 0, 1, samples, 0, cycles[:], verdict[:])
+	return TermProbe{VA: va, Cycles: cycles[0]}
+}
+
 func (p *refProber) ProbeTermLevel(va paging.VirtAddr, samples int) TermProbe {
 	if samples <= 0 {
 		samples = 1
@@ -168,7 +188,7 @@ func (p *refProber) ProbeTLB(va paging.VirtAddr) ProbeResult {
 	return ProbeResult{VA: va, Cycles: t, Fast: p.Threshold.Classify(t)}
 }
 
-// sweep is the engine's inline (workers 0) sweep as it ran with per-index
+// sweep is runSweep's inline (workers 0) sweep as it ran with per-index
 // probing: the scan-epoch seed, a noise reseed and translation reset per
 // chunk, one probe call per index, the min-of-heal re-probe of every index
 // whose verdict disagrees with a neighbour (heal < 0 disables it), and the
@@ -177,14 +197,11 @@ func (p *refProber) sweep(start paging.VirtAddr, n int, stride uint64, heal int,
 	probe func(paging.VirtAddr) float64, classify func(float64) bool) ([]bool, []float64) {
 	p.scanEpoch++
 	seed := p.M.Seed() ^ (p.scanEpoch * 0x9e3779b97f4a7c15)
-	chunk := p.Opt.ScanChunkPages
-	if chunk <= 0 {
-		chunk = scan.DefaultChunkPages
-	}
+	chunk := chunkPages
 	verdicts, cycles := make([]bool, n), make([]float64, n)
 	chunks := 0
 	for lo := 0; lo < n; lo += chunk {
-		p.M.ReseedNoise(scan.StreamSeed(seed, uint64(chunks)))
+		p.M.ReseedNoise(streamSeed(seed, uint64(chunks)))
 		p.M.ResetTranslationState()
 		for i := lo; i < lo+chunk && i < n; i++ {
 			cycles[i] = probe(start + paging.VirtAddr(uint64(i)*stride))
@@ -193,7 +210,7 @@ func (p *refProber) sweep(start paging.VirtAddr, n int, stride uint64, heal int,
 		chunks++
 	}
 	if heal > 0 {
-		p.M.ReseedNoise(scan.StreamSeed(seed, uint64(chunks)+1))
+		p.M.ReseedNoise(streamSeed(seed, uint64(chunks)+1))
 		p.M.ResetTranslationState()
 		for i := 0; i < n; i++ {
 			left := i > 0 && verdicts[i-1] != verdicts[i]
@@ -210,7 +227,7 @@ func (p *refProber) sweep(start paging.VirtAddr, n int, stride uint64, heal int,
 			cycles[i], verdicts[i] = best, classify(best)
 		}
 	}
-	p.M.ReseedNoise(scan.StreamSeed(seed, scan.PostSweepStream))
+	p.M.ReseedNoise(streamSeed(seed, postSweepStream))
 	p.M.ResetTranslationState()
 	return verdicts, cycles
 }

@@ -31,8 +31,8 @@ func TestSpyTickZeroAllocSteadyState(t *testing.T) {
 
 // The app fingerprinter runs the spy's tick sweep over its watch list
 // and votes on the ticks, rebuilding the target list in reused buffers.
-// An 8-tick window at Workers 0 on the 5-module standard watch costs 12
-// allocations — the per-window engine setup and result slices, the vote
+// An 8-tick window at Workers 0 on the 5-module standard watch costs 8
+// allocations — the per-window sweep setup and result slices, the vote
 // and the profile match, nothing per tick or per target.
 func TestFingerprintWindowAllocs(t *testing.T) {
 	p, k := bootedProber(t, uarch.IceLake1065G7(), 612, linux.Config{})
@@ -59,8 +59,8 @@ func TestFingerprintWindowAllocs(t *testing.T) {
 	window() // warm scratch and the reused target buffers
 	n := testing.AllocsPerRun(20, window)
 	t.Logf("allocs/window %.0f", n)
-	if n > 12 {
-		t.Errorf("8-tick fingerprint window allocates %.1f/op, want <= 12", n)
+	if n > 8 {
+		t.Errorf("8-tick fingerprint window allocates %.1f/op, want <= 8", n)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/paging"
-	"repro/internal/scan"
 	"repro/internal/userspace"
 )
 
@@ -33,7 +32,7 @@ type UserScanResult struct {
 
 // UserScan probes [start, end) at 4 KiB steps with the §IV-F methodology —
 // masked loads filter out the unmapped/--- pages, masked stores classify
-// the mapped pages into writable vs read-only — as one fused engine sweep:
+// the mapped pages into writable vs read-only — as one fused sweep:
 // every chunk runs the load probes and then the store probes of its own
 // pages, so the range is walked once, chunk setup is paid once, and the
 // store warm-ups reuse translations the load probes just installed (see
@@ -47,13 +46,14 @@ func UserScan(p *Prober, start, end paging.VirtAddr) UserScanResult {
 	var loadSim, storeSim atomic.Uint64
 
 	pages := int(uint64(end-start) >> 12)
-	sres := runSweep(p, start, pages, paging.Page4K, 0, 0,
-		func(rp *Prober) scan.Worker[PermClass] { return newFusedWorker(rp, &loadSim, &storeSim) })
+	classes, _ := runSweep(p, start, pages, paging.Page4K, chunkPages,
+		func(rp *Prober) *fusedWorker { return newFusedWorker(rp, &loadSim, &storeSim) },
+		(*fusedWorker).HealProbe)
 
 	res.LoadCycles = loadSim.Load()
 	res.StoreCycles = storeSim.Load()
 	res.TotalCycles = p.M.RDTSC() - t0
-	res.Regions = mergeRegions(start, sres.Verdicts)
+	res.Regions = mergeRegions(start, classes)
 	return res
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/behavior"
 	"repro/internal/paging"
-	"repro/internal/scan"
 )
 
 // The sequential and two-pass yardsticks the parity suites measure the
@@ -16,7 +15,7 @@ import (
 // BenchmarkUserScanTwoPass calls them.
 
 // sequentialSweep runs n spy ticks from victim time t0 in order on the
-// spy's own machine under the engine's exact determinism contract — the
+// spy's own machine under runSweep's exact determinism contract — the
 // same scan-epoch seed derivation, per-chunk noise reseed + translation
 // reset, and canonical post-sweep state that runSweep applies. It is the
 // sequential yardstick of BehaviorSpy.sweep, the one temporal sweep both
@@ -27,20 +26,20 @@ func sequentialSweep(s *BehaviorSpy, d *behavior.Driver, t0 float64, n int) []ti
 	d.EnsureHorizon(t0 + float64(n)*s.TickSec)
 	p.scanEpoch++
 	seed := p.M.Seed() ^ (p.scanEpoch * 0x9e3779b97f4a7c15)
-	chunk := tickChunk(p)
+	chunk := tickChunk
 	obs := make([]tickObs, n)
 	for lo, c := 0, 0; lo < n; lo, c = lo+chunk, c+1 {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		p.M.ReseedNoise(scan.StreamSeed(seed, uint64(c)))
+		p.M.ReseedNoise(streamSeed(seed, uint64(c)))
 		p.M.ResetTranslationState()
 		for i := lo; i < hi; i++ {
 			obs[i] = s.tick(p, d, t0+float64(i)*s.TickSec)
 		}
 	}
-	p.M.ReseedNoise(scan.StreamSeed(seed, scan.PostSweepStream))
+	p.M.ReseedNoise(streamSeed(seed, postSweepStream))
 	p.M.ResetTranslationState()
 	return obs
 }
@@ -105,7 +104,7 @@ func newStoreWorker(rp *Prober, mapped []bool) *storeWorker {
 
 // ProbeChunk batches the chunk's store probes over its mapped pages, then
 // maps the fast flags to permission classes in the verdict window (the
-// pages it skips keep the engine's zero verdict, PermUnmapped).
+// pages it skips keep the sweep's zero verdict, PermUnmapped).
 func (w *storeWorker) ProbeChunk(start paging.VirtAddr, stride uint64, lo, hi int,
 	verdicts []PermClass, cycles []float64) {
 	fast := w.p.fastWindow(hi - lo)
@@ -130,15 +129,16 @@ func (w *storeWorker) HealProbe(va paging.VirtAddr, samples int, cycles float64,
 	return best, storeClass(w.p.StoreThreshold.Classify(best))
 }
 
-// scanStoreClasses runs the §IV-F store-classification pass on the engine:
+// scanStoreClasses runs the §IV-F store-classification pass through runSweep:
 // every page the load pass read as mapped is probed with the masked-store
 // attack and classified writable vs read-only (including the min-of-3
 // healing re-probe of isolated verdict flips); unmapped pages are skipped
 // outright — no probe, no noise draw — and come back PermUnmapped.
 func (p *Prober) scanStoreClasses(start paging.VirtAddr, mapped []bool) []PermClass {
-	res := runSweep(p, start, len(mapped), paging.Page4K, 0, 0,
-		func(rp *Prober) scan.Worker[PermClass] { return newStoreWorker(rp, mapped) })
-	return res.Verdicts
+	classes, _ := runSweep(p, start, len(mapped), paging.Page4K, chunkPages,
+		func(rp *Prober) *storeWorker { return newStoreWorker(rp, mapped) },
+		(*storeWorker).HealProbe)
+	return classes
 }
 
 // BenchmarkUserScanTwoPass measures the serialized two-pass §IV-F user

@@ -1,5 +1,5 @@
-// Package service is the attack-as-a-service layer over the pooled scan
-// engine: it accepts attack jobs (kernel base, KPTI trampoline, module
+// Package service is the attack-as-a-service layer over core's pooled
+// sweeps: it accepts attack jobs (kernel base, KPTI trampoline, module
 // enumeration, Windows region scan, §IV-F user scan, cloud scenarios, the
 // temporal §IV-E behaviorspy / appfingerprint attacks, and the §V
 // defenseeval countermeasure evaluations), schedules them on a bounded
@@ -10,8 +10,8 @@
 // The layer cake, bottom to top:
 //
 //	machine   one simulated CPU+memory system (internal/machine)
-//	scan      the sharded, batched sweep engine (internal/scan)
-//	core      calibrated probers + the paper's attacks (internal/core)
+//	core      calibrated probers, the paper's attacks and the sharded,
+//	          batched sweeps they run on (internal/core)
 //	service   jobs, sessions, scheduling, stats (this package)
 //
 // Three kinds of state are reused across jobs, each with a determinism
