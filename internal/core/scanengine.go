@@ -513,12 +513,11 @@ func runSweep[V comparable, W sweepWorker[V]](p *Prober, start paging.VirtAddr, 
 	workers := make([]W, min(max(p.Opt.Workers, 1), (n+chunk-1)/chunk))
 	replicas := p.replicaBuf[:0]
 	for i := range workers {
-		if inline {
-			workers[i] = wrap(p)
-			continue
+		rp := p
+		if !inline {
+			rp = p.Opt.Pool.get(p, seed)
+			replicas = append(replicas, rp)
 		}
-		rp := p.Opt.Pool.get(p, seed)
-		replicas = append(replicas, rp)
 		workers[i] = wrap(rp)
 	}
 	verdicts, cycles, sim := sweep(workers, seed, start, n, stride, chunk, heal)
