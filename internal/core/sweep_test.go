@@ -129,7 +129,7 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 }
 
 // A sweep finds a mapped run exactly: pages 100–299 of 1000 over 4
-// workers, and pages 2–5 of 8 over 4 workers, one chunk for all of them.
+// workers.
 func TestSweepFindsMappedRun(t *testing.T) {
 	v, _, _ := detSweep(4, 1000)
 	for i, m := range v {
@@ -137,8 +137,13 @@ func TestSweepFindsMappedRun(t *testing.T) {
 			t.Fatalf("index %d: mapped=%v, want %v", i, m, want)
 		}
 	}
+}
+
+// A range shorter than one chunk is swept exactly too: pages 2–5 of 8 over
+// 4 workers, one chunk for all of them.
+func TestSweepFindsShortMappedRun(t *testing.T) {
 	ws := detWorkers(4, testStart+paging.VirtAddr(2*testStride), testStart+paging.VirtAddr(6*testStride))
-	v, _, _ = sweep(ws, 1, testStart, 8, testStride, testChunk, (*detWorker[bool]).HealProbe)
+	v, _, _ := sweep(ws, 1, testStart, 8, testStride, testChunk, (*detWorker[bool]).HealProbe)
 	if want := []bool{false, false, true, true, true, true, false, false}; !reflect.DeepEqual(v, want) {
 		t.Fatalf("8-page sweep %v, want %v", v, want)
 	}
